@@ -15,7 +15,8 @@ line and JSON embeds a ``config`` object, so every file names the exact run
 that produced it.  Identical argv produce byte-identical output.
 
 Exit codes: 0 success; 1 a verdict or statistical test failed; 2 usage or
-precondition error.
+precondition error; 3 an unexpected internal error (a crash never reads as a
+failed verdict).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import csv
 import json
 import math
 import sys
+import traceback
 
 from . import analytics, oracle, verify, walk, zigzag
 from .schedule import classify_regime, schedule_from_json
@@ -404,6 +406,10 @@ def run(argv=None) -> int:
     except (ValueError, OSError, oracle.ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a failed verdict
+        traceback.print_exc(file=sys.stderr)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

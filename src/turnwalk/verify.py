@@ -15,7 +15,8 @@ Each bound comparison reports estimate, standard error and bound; the bound
 "holds" when estimate - 4 se <= bound, one-sided, because the inequalities
 being checked are one-sided.  Statistical tests report a normalized
 statistic: the maximum over their sub-checks of (observed / allowed), so
-the rejection rule is uniformly "statistic > 1".
+the rejection rule is uniformly "statistic > 1".  A NaN sub-check makes the
+statistic NaN, and a statistic that is not a number is rejected.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ def _shard_sizes(samples: int, shards: int) -> list:
     return [base + (1 if s < extra else 0) for s in range(shards)]
 
 
+def _check_samples(samples: int, minimum: int = 1, name: str = "samples") -> None:
+    """Operation entry check: estimators need at least ``minimum`` samples."""
+    if samples < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {samples}")
+
+
 def _builtin(obj):
     """Recursively strip numpy scalar/array types for JSON-stable output."""
     if isinstance(obj, dict):
@@ -121,7 +128,10 @@ class EstimatorResult:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Normalized test outcome: rejected iff statistic > threshold."""
+    """Normalized test outcome: passes only if statistic <= threshold.
+
+    A NaN statistic compares false with everything, so it is rejected.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -132,7 +142,7 @@ class TestReport:
     rejected: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rejected", bool(self.statistic > self.threshold))
+        object.__setattr__(self, "rejected", not self.statistic <= self.threshold)
 
     def to_json(self) -> dict:
         return _builtin({
@@ -289,13 +299,14 @@ def estimate_tail(d: int, p: float, n: int, a: float, samples: int,
     """Empirical P(|S_n| > a sqrt(n)), Euclidean norm, binomial s.e."""
     if a < (1.0 if d == 1 else math.sqrt(d)):
         raise ValueError(f"a = {a} is below the bound's validity threshold for d = {d}")
+    _check_samples(samples)
     cutoff = a * a * n
     hits = 0
     for s, size in enumerate(_shard_sizes(samples, shards)):
         if size == 0:
             continue
         rng = stream_rng(seed, "tail", s)
-        pos = walk.sample_positions(d, Constant(p), n, size, rng, method="step").at(n)
+        pos = walk.sample_positions(d, Constant(p), n, size, rng).at(n)
         r2 = np.sum(pos.astype(float) ** 2, axis=1)
         hits += int(np.count_nonzero(r2 > cutoff))
     return _proportion_estimator(hits, samples, seed, shards)
@@ -316,6 +327,7 @@ def estimate_covariance(schedule: Schedule, i: int, j: int, samples: int,
     """Empirical E[Y_i Y_j] for the 1-d walk's step signs."""
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
+    _check_samples(samples)
     probs = schedule.prefix_probs(j)
     total = 0
     for s, size in enumerate(_shard_sizes(samples, shards)):
@@ -354,13 +366,13 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
     """
     if n < 1_000:
         raise ValueError("scaling_limit_test needs n >= 10^3 to be meaningful")
+    _check_samples(samples, 2)
     chunks = []
     for s, size in enumerate(_shard_sizes(samples, shards)):
         if size == 0:
             continue
         rng = stream_rng(seed, "scaling", s)
-        chunks.append(walk.sample_positions(d, Constant(p), n, size, rng,
-                                            method="step").at(n))
+        chunks.append(walk.sample_positions(d, Constant(p), n, size, rng).at(n))
     pos = np.concatenate(chunks, axis=0).astype(float)
     factor = math.sqrt(d * p / (2.0 - p)) / math.sqrt(n)
     z = pos * factor
@@ -391,7 +403,7 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
         "variance_band": [0.96, 1.04],
         "cross_covariances": cross,
     }
-    return TestReport(statistic=float(max(ratios)), threshold=1.0,
+    return TestReport(statistic=float(np.max(ratios)), threshold=1.0,
                       config=config, details=details)
 
 
@@ -418,6 +430,8 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     if n < 10_000:
         raise ValueError("critical_limit_test needs n >= 10^4 to be meaningful")
     zigzag_samples = samples if zigzag_samples is None else zigzag_samples
+    _check_samples(samples, 2)
+    _check_samples(zigzag_samples, 1, "zigzag_samples")
     b = b_from_a(a, d)
     schedule = Critical(a=a, n0=max(1, math.ceil(a)))
     m = int(delta * n)
@@ -478,7 +492,7 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
         "ks_threshold": ks_thresh,
         "ks_norm_untruncated_info": unmatched,
     }
-    return TestReport(statistic=float(max(ratios)), threshold=1.0,
+    return TestReport(statistic=float(np.max(ratios)), threshold=1.0,
                       config=config, details=details)
 
 
@@ -514,6 +528,7 @@ def recurrence_experiment(d: int, schedule: Schedule, horizons, samples: int,
         raise ValueError("horizons must be a nonempty strictly increasing list")
     if horizons[0] < 0:
         raise ValueError("horizons must be nonnegative")
+    _check_samples(samples)
     positive = [h for h in horizons if h >= 1]
     count_parts = {h: [] for h in positive}
     late_parts = {h: [] for h in positive}
@@ -591,6 +606,7 @@ def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
         raise ValueError(f"p must be in (1/2, 1), got {p}")
     if not 1 <= i < j:
         raise ValueError(f"need 1 <= i < j, got i={i}, j={j}")
+    _check_samples(samples)
     horizon, cert = _volkov_certify(p, j, horizon)
     hits_i = 0
     hits_ij = 0
@@ -628,13 +644,14 @@ def moment4_experiment(p: float, n: int, samples: int, seed: int = 0,
     """Empirical E[L_n^4] of the 1-d walk, s.e. from the sample variance."""
     if n < 1:
         raise ValueError("n must be positive")
+    _check_samples(samples)
     sum_x = 0.0
     sum_x2 = 0.0
     for s, size in enumerate(_shard_sizes(samples, shards)):
         if size == 0:
             continue
         rng = stream_rng(seed, "moment4", s)
-        pos = walk.sample_positions(1, Constant(p), n, size, rng, method="step").at(n)
+        pos = walk.sample_positions(1, Constant(p), n, size, rng).at(n)
         x = pos[:, 0].astype(float) ** 4
         sum_x += float(x.sum())
         sum_x2 += float((x * x).sum())

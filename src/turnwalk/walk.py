@@ -21,6 +21,16 @@ steps and exists for cross-checking.
 ``sample_positions`` is the vectorized many-path workhorse used by the
 statistical experiments; it implements both laws batch-wise and can record
 position snapshots and direction-change counts along the way.
+
+For a ``Constant`` rate the endpoint alone needs O(d) variates per path.
+The redraws at steps 2..n are iid Bernoulli(p), so given R runs the cut
+set is a uniform (R-1)-subset of {1..n-1}: the run lengths form a uniform
+composition of n into R parts, and each run has an iid uniform direction.
+The runs per signed direction are Multinomial(R, 1/2d), and the total
+length of m of the R parts of a uniform composition of N is
+m + BetaBinomial(N - R, m, R - m) (Devroye, *Non-Uniform Random Variate
+Generation*, 1986); splitting n class by class gives the 2d direction
+totals, and coordinate i is T(+i) - T(-i).
 """
 
 from __future__ import annotations
@@ -179,7 +189,13 @@ class Path:
             writer.writerow([t] + [int(x) for x in row])
 
 
+def _check_dimension(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+
+
 def initial_state(d: int, start: Sequence[int] | None = None) -> WalkState:
+    _check_dimension(d)
     if start is None:
         start = (0,) * d
     start = tuple(int(x) for x in start)
@@ -357,8 +373,15 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
     counts, per path, the steps t in (lo, hi] at which the direction actually
     changed.  ``method`` selects the per-step law ("step") or the event-jump
     law ("events"); both laws are identical, matching ``simulate`` and
-    ``simulate_events``.
+    ``simulate_events``.  "step" replays every step and is the reference
+    the other paths are tested against.
+
+    With "events", a ``Constant`` schedule, only the horizon requested and
+    no change window, the endpoints come from the composition shortcut in
+    the module docstring: O(d) variates per path, independent of n.  Every
+    other "events" request runs the event-jump engine.
     """
+    _check_dimension(d)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if samples < 0:
@@ -382,9 +405,39 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
 
     if method == "step":
         _run_dense(d, schedule, n, samples, rng, positions, changes, count_changes_in)
+    elif isinstance(schedule, Constant) and times == (n,) and changes is None:
+        positions[n][:] = _constant_endpoints(d, schedule.p, n, samples, rng)
     else:
         _run_events(d, schedule, n, samples, rng, positions, changes, count_changes_in)
     return PositionsSample(positions, changes)
+
+
+def _constant_endpoints(d, p, n, samples, rng):
+    """Endpoints S_n at constant rate p for n >= 1, shape (samples, d).
+
+    Draws the run count R = 1 + Binomial(n - 1, p), the runs per signed
+    direction m ~ Multinomial(R, 1/2d), then each direction's total length
+    T_c = m_c + Binomial(N - R, Beta(m_c, R - m_c)) out of the N steps and
+    R runs still unassigned; the last direction takes the remainder.
+    """
+    k = 2 * d
+    runs = 1 + rng.binomial(n - 1, float(p), samples)
+    per_class = rng.multinomial(runs, np.full(k, 1.0 / k))
+    totals = np.empty((samples, k), dtype=np.int64)
+    steps_left = np.full(samples, n, dtype=np.int64)
+    runs_left = runs
+    for c in range(k - 1):
+        m = per_class[:, c]
+        rest = runs_left - m
+        # share of the N - R spare steps: 0 without runs, all with no rest
+        share = (rest == 0).astype(float)
+        mixed = (m > 0) & (rest > 0)
+        share[mixed] = rng.beta(m[mixed], rest[mixed])
+        totals[:, c] = m + rng.binomial(steps_left - runs_left, share)
+        steps_left = steps_left - totals[:, c]
+        runs_left = rest
+    totals[:, k - 1] = steps_left
+    return totals[:, 0::2] - totals[:, 1::2]
 
 
 def _run_dense(d, schedule, n, samples, rng, positions, changes, window):
@@ -516,6 +569,7 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     <= n; they observe the same paths, so per-path counts are monotone in
     the horizon by construction.
     """
+    _check_dimension(d)
     if n < 1:
         raise ValueError("n must be positive")
     target = (0,) * d if target is None else tuple(int(x) for x in target)

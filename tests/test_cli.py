@@ -285,6 +285,55 @@ def test_verify_rejected_report_exit_1(capsys, monkeypatch):
     assert json.loads(out)["rejected"] is True
 
 
+_VERIFY_ARGS = {
+    "tail": ["--d", "2", "--p", "0.5", "--n", "100", "--a", "2"],
+    "covariance": ["--schedule", CONST_HALF, "--i", "2", "--j", "4"],
+    "scaling": ["--d", "2", "--p", "0.5", "--n", "1000"],
+    "critical": ["--d", "2", "--a", "1", "--n", "10000", "--delta", "0.1"],
+    "recurrence": ["--d", "2", "--schedule", CONST_HALF, "--horizons", "10,100"],
+    "volkov": ["--p", "0.7", "--i", "2", "--j", "3"],
+    "moment4": ["--p", "0.5", "--n", "10"],
+}
+
+
+@pytest.mark.parametrize("exp", sorted(_VERIFY_ARGS))
+def test_verify_zero_samples_exit_2(capsys, exp):
+    rc, out, err = _run(capsys, ["verify", exp, *_VERIFY_ARGS[exp],
+                                 "--samples", "0"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "samples must be >= " in err
+
+
+@pytest.mark.parametrize("exp", ["scaling", "critical"])
+def test_verify_single_sample_exit_2(capsys, exp):
+    # one sample leaves the variances undefined (NaN); refuse, never pass
+    rc, out, err = _run(capsys, ["verify", exp, *_VERIFY_ARGS[exp],
+                                 "--samples", "1"])
+    assert rc == 2
+    assert out == ""
+    assert "samples must be >= 2" in err
+
+
+def test_nonpositive_dimension_exit_2(capsys):
+    rc, _, err = _run(capsys, ["simulate", "--d", "0", "--schedule", CONST_HALF,
+                               "--n", "5"])
+    assert rc == 2
+    assert "d must be >= 1" in err
+
+
+def test_unexpected_exception_exit_3(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(verify, "moment4_experiment", crash)
+    rc, out, err = _run(capsys, ["verify", "moment4", "--p", "0.5", "--n", "10",
+                                 "--samples", "10"])
+    assert rc == 3
+    assert out == ""
+    assert "error: internal error: ZeroDivisionError: boom" in err
+
+
 # --- parser-level errors ---
 
 def test_unknown_subcommand_exit_2(capsys):

@@ -1,9 +1,11 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2
 
 from turnwalk import oracle, walk
 from turnwalk.schedule import Constant, Critical, Explicit
@@ -161,6 +163,74 @@ def test_batch_engines_match_oracle_mixed_schedule(sampler):
 def test_batch_engines_match_oracle_d2(sampler):
     tv = _tv_against_oracle(2, Explicit((1.0, 0.05, 0.9)), 3, 200_000, 23, sampler)
     assert tv < 0.008
+
+
+def _chi_square_pvalue(points, law):
+    """Endpoint cells against an exact law; cells expecting < 5 are pooled."""
+    uniq, freq = np.unique(points, axis=0, return_counts=True)
+    counts = {tuple(int(v) for v in row): c for row, c in zip(uniq, freq)}
+    assert set(counts) <= set(law)  # nothing outside the support
+    cells = sorted(law, key=law.get)
+    expected = np.array([law[c] for c in cells]) * len(points)
+    observed = np.array([counts.get(c, 0) for c in cells], dtype=float)
+    # pool the smallest cells until every cell expects at least 5
+    cut = 0
+    while cut < expected.size and (expected[cut] < 5.0
+                                   or 0 < expected[:cut].sum() < 5.0):
+        cut += 1
+    if cut:
+        expected = np.append(expected[cut:], expected[:cut].sum())
+        observed = np.append(observed[cut:], observed[:cut].sum())
+    if expected.size < 2:
+        return 1.0
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    return float(chi2.sf(stat, expected.size - 1))
+
+
+@pytest.mark.parametrize("d, n", [(1, 9), (2, 7), (3, 5), (2, 1)])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.9, 1.0, Fraction(1, 3)])
+def test_constant_endpoint_shortcut_matches_oracle(d, n, p):
+    law = oracle.exact_distribution(d, Constant(p), n).marginal_positions()
+    pos = walk.sample_positions(d, Constant(p), n, 200_000, _rng(24)).at(n)
+    assert _chi_square_pvalue(pos, law) > 1e-3
+
+
+def test_constant_endpoint_shortcut_zero_horizon():
+    out = walk.sample_positions(3, Constant(0.5), 0, 10, _rng(25))
+    assert np.array_equal(out.at(0), np.zeros((10, 3), dtype=np.int64))
+
+
+def test_constant_shortcut_taken_only_for_endpoints(monkeypatch):
+    calls = []
+    real = walk._constant_endpoints
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(walk, "_constant_endpoints", spy)
+    rng = _rng(26)
+    walk.sample_positions(2, Constant(0.5), 20, 50, rng)
+    assert len(calls) == 1
+    # snapshots, change windows, the per-step law and other schedules all
+    # run the engines
+    walk.sample_positions(2, Constant(0.5), 20, 50, rng, times=(5, 20))
+    walk.sample_positions(2, Constant(0.5), 20, 50, rng,
+                          count_changes_in=(10, 20))
+    walk.sample_positions(2, Constant(0.5), 20, 50, rng, method="step")
+    walk.sample_positions(2, Critical(1.0), 20, 50, rng)
+    assert len(calls) == 1
+
+
+def test_samplers_reject_nonpositive_dimension():
+    with pytest.raises(ValueError, match="d must be"):
+        walk.sample_positions(0, Constant(0.5), 5, 10, _rng())
+    with pytest.raises(ValueError, match="d must be"):
+        walk.sample_visit_stats(0, Constant(0.5), 5, 10, _rng())
+    with pytest.raises(ValueError, match="d must be"):
+        walk.simulate(0, Constant(0.5), 5, _rng())
+    with pytest.raises(ValueError, match="d must be"):
+        walk.simulate_events(-1, Constant(0.5), 5, _rng())
 
 
 def test_batch_engines_match_scalar_law():
