@@ -62,7 +62,10 @@ class Schedule:
         raise NotImplementedError
 
     def prefix_probs(self, n: int) -> np.ndarray:
-        """Vectorized [p_1, ..., p_n] as float64; used by the batch samplers."""
+        """Vectorized [p_1, ..., p_n] as a new float64 array the caller owns.
+
+        The batch samplers overwrite it in place with hazards.
+        """
         raise NotImplementedError
 
     def to_json(self) -> dict:

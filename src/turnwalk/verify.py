@@ -366,6 +366,9 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
     """
     if n < 1_000:
         raise ValueError("scaling_limit_test needs n >= 10^3 to be meaningful")
+    if not 0.0 < p <= 1.0:
+        # at p = 0 each path runs straight along one axis: no diffusive limit
+        raise ValueError(f"scaling_limit_test needs 0 < p <= 1, got p = {p}")
     _check_samples(samples, 2)
     chunks = []
     for s, size in enumerate(_shard_sizes(samples, shards)):
@@ -462,7 +465,9 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     lam = b * math.log(1.0 / delta)
     mean = float(counts.mean())
     se = float(counts.std(ddof=1)) / math.sqrt(samples)
-    ratio_mean = abs(mean - lam) / (4.0 * se)
+    # equal counts give se = 0: any miss of lam is then a certain rejection
+    ratio_mean = (abs(mean - lam) / (4.0 * se) if se > 0.0
+                  else (0.0 if mean == lam else math.inf))
     chi_stat, chi_crit, chi_dof = poisson_gof(counts, lam, alpha=alpha)
 
     ks_thresh = ks_critical(alpha) * math.sqrt((samples + zigzag_samples)

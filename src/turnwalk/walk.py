@@ -20,7 +20,9 @@ steps and exists for cross-checking.
 
 ``sample_positions`` is the vectorized many-path workhorse used by the
 statistical experiments; it implements both laws batch-wise and can record
-position snapshots and direction-change counts along the way.
+position snapshots and direction-change counts along the way.  Its event
+engine advances all paths one redraw at a time, each gap found by inverting
+the cumulative hazard table.
 
 For a ``Constant`` rate the endpoint alone needs O(d) variates per path.
 The redraws at steps 2..n are iid Bernoulli(p), so given R runs the cut
@@ -31,6 +33,22 @@ length of m of the R parts of a uniform composition of N is
 m + BetaBinomial(N - R, m, R - m) (Devroye, *Non-Uniform Random Variate
 Generation*, 1986); splitting n class by class gives the 2d direction
 totals, and coordinate i is T(+i) - T(-i).
+
+``sample_visit_stats`` draws each path's redraw set whole.  The redraw
+indicators of steps 2..n are independent, and step j redraws with
+probability p_j = 1 - exp(-h_j), h_j = -log(1 - p_j).  Give step j an
+interval of length h_j on the cumulative-hazard axis: the steps hit by a
+unit-rate Poisson process there have exactly the law of the redraw set.
+Steps with p_j = 1 own no interval and are added as forced redraws, as is
+step 1.  This is the discrete analogue of thinning
+(Lewis & Shedler, 1979).  Given its count K ~ Poisson(H), the process's
+points are sorted uniforms over the hazard range H, drawn as normalized
+exponential spacings (Devroye 1986), so a path's runs come out sorted
+without a sort or a sequential loop.  A step hit twice keeps a zero-length
+run with its own direction; only the last draw at a step moves the walk, so
+the law is unchanged.  Paths are processed in (paths x runs) blocks of
+bounded size, and a horizon too long for one block is cut into segments
+that each path crosses carrying its position and direction.
 """
 
 from __future__ import annotations
@@ -65,6 +83,10 @@ __all__ = [
 # Samplers switch from per-step thinning to survival-product inversion below
 # this rate; keeps expected draws per update O(10) without product underflow.
 _THINNING_CUTOFF = 0.1
+
+# Cells (paths x runs) in one block of the visit engine; its memory beyond
+# the O(n) hazard table and the per-path state is a fixed multiple of this.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -467,26 +489,33 @@ def _run_dense(d, schedule, n, samples, rng, positions, changes, window):
 
 
 def _hazard_table(schedule, n):
-    """Cumulative -log survival through each step, with p == 1 steps forced.
+    """Cumulative hazard ``nc`` and the sorted forced (p == 1) steps.
 
-    Steps with p_j == 1 contribute zero hazard here and are instead handled
-    by a "next forced index" lookup, since -log(0) would poison the cumsum.
+    nc[t] = sum over j <= t of -log(1 - p_j), with p_j == 1 steps adding
+    zero since -log(0) would poison the cumsum; those steps are listed in
+    ``forced`` instead, which ends with the sentinel n + 1.  The hazards
+    are computed in place in the ``prefix_probs`` array, so the working set
+    is two O(n) float arrays.
     """
-    p = schedule.prefix_probs(n)
-    forced = p >= 1.0
-    with np.errstate(divide="ignore"):
-        hazard = -np.log1p(-np.where(forced, 0.0, p))
-    nc = np.zeros(n + 1)
-    np.cumsum(hazard, out=nc[1:])
-    # next_forced[t] = smallest step j > t with p_j == 1, else n + 1
-    next_forced = np.full(n + 2, n + 1, dtype=np.int64)
-    for j in range(n, 0, -1):
-        next_forced[j - 1] = j if forced[j - 1] else next_forced[j]
-    return nc, next_forced
+    h = schedule.prefix_probs(n)
+    forced = np.flatnonzero(h >= 1.0) + 1
+    h[forced - 1] = 0.0
+    np.negative(h, out=h)
+    np.log1p(h, out=h)
+    np.negative(h, out=h)
+    nc = np.empty(n + 1)
+    nc[0] = 0.0
+    np.cumsum(h, out=nc[1:])
+    return nc, np.append(forced, n + 1)
+
+
+def _next_forced(forced, t):
+    """Smallest forced step > t, else the sentinel n + 1, per entry of t."""
+    return forced[np.searchsorted(forced, t, side="right")]
 
 
 def _run_events(d, schedule, n, samples, rng, positions, changes, window):
-    nc, next_forced = _hazard_table(schedule, n)
+    nc, forced = _hazard_table(schedule, n)
     snap_times = np.asarray(sorted(positions), dtype=np.int64)
 
     active = np.arange(samples)
@@ -503,7 +532,7 @@ def _run_events(d, schedule, n, samples, rng, positions, changes, window):
             budget = -np.log(u)
         nxt = np.searchsorted(nc, nc[t] + budget, side="left")
         nxt = np.maximum(nxt, t + 1)
-        nxt = np.minimum(nxt, next_forced[t])
+        nxt = np.minimum(nxt, _next_forced(forced, t))
 
         # record snapshots landing inside the current run [t, nxt)
         for s in snap_times:
@@ -563,11 +592,19 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
                        horizons: Sequence[int] | None = None) -> VisitStats:
     """Sample walks and count target visits at several nested horizons.
 
-    Each path is simulated once up to n with the event-jump law; per
-    constant-direction run the target can be met at most once, so hits are
-    detected run by run without storing positions.  All horizons must be
-    <= n; they observe the same paths, so per-path counts are monotone in
-    the horizon by construction.
+    Each path's redraw set is drawn whole: step 1, the forced (p == 1)
+    steps, and the distinct steps hit by a unit-rate Poisson process in
+    cumulative-hazard time (module docstring).  Per constant-direction run
+    the target can be met at most once, so hits are detected run by run
+    without storing positions.  All horizons must be <= n; they observe the
+    same paths, so per-path counts are monotone in the horizon by
+    construction.
+
+    The work runs in blocks of at most about ``_BLOCK_CELLS`` (paths x runs)
+    cells, so beyond the O(n) hazard table and O(samples) per-path state
+    and results, memory grows with neither ``samples`` nor ``n``.  The steps
+    are cut into segments of at most half a block of expected redraws each;
+    a path crosses a segment boundary carrying its position and direction.
     """
     _check_dimension(d)
     if n < 1:
@@ -584,51 +621,119 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     if samples == 0:
         return VisitStats(counts, late)
 
-    nc, next_forced = _hazard_table(schedule, n)
-    tgt = np.asarray(target, dtype=np.int64)
+    nc, forced = _hazard_table(schedule, n)
+    forced = forced[(forced >= 2) & (forced <= n)]
+    # |position - target|_1 <= n + |target|_1 bounds every engine integer
+    dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64
+    rel = np.tile(-np.asarray(target, dtype=dtype), (samples, 1))  # position - target
+    heading = rng.integers(0, 2 * d, samples, dtype=np.uint8)
 
-    active = np.arange(samples)
-    cur_t = np.ones(samples, dtype=np.int64)
-    idx0 = rng.integers(0, 2 * d, samples)
-    axis = idx0 // 2
-    sign = (1 - 2 * (idx0 % 2)).astype(np.int64)
-    pos = np.zeros((samples, d), dtype=np.int64)
-
-    while active.size:
-        t = cur_t[active]
-        u = rng.random(active.size)
-        with np.errstate(divide="ignore"):
-            budget = -np.log(u)
-        nxt = np.searchsorted(nc, nc[t] + budget, side="left")
-        nxt = np.maximum(nxt, t + 1)
-        nxt = np.minimum(nxt, next_forced[t])
-
-        ax = axis[active]
-        sg = sign[active]
-        delta = tgt[None, :] - pos[active]
-        on_axis = delta[np.arange(active.size), ax]
-        off_ok = (np.abs(delta).sum(axis=1) - np.abs(on_axis)) == 0
-        k = on_axis * sg  # steps into the run at which the target sits
-        run_len = np.minimum(nxt - 1, n) - t + 1
-        hit = off_ok & (k >= 1) & (k <= run_len)
-        if hit.any():
-            s = t + k - 1  # absolute time of the visit
-            rows = active[hit]
-            sh = s[hit]
+    for lo, hi in _segments(nc, forced, n):
+        seg_forced = forced[np.searchsorted(forced, lo, side="right"):
+                            np.searchsorted(forced, hi, side="right")]
+        k = rng.poisson(nc[hi] - nc[max(lo, 1)], samples)
+        rows = max(1, _BLOCK_CELLS // (int(k.max()) + seg_forced.size + 2))
+        for r0 in range(0, samples, rows):
+            r1 = min(r0 + rows, samples)
+            who, when = _visit_block(d, nc, lo, hi, seg_forced, k[r0:r1],
+                                     rel[r0:r1], heading[r0:r1], rng)
+            who += r0
             for h in horizons:
-                within = sh <= h
-                if within.any():
-                    counts[h][rows[within]] += 1
-                    late[h][rows[within & ~(sh <= h // 2)]] = True
-
-        cont = nxt <= n
-        if cont.any():
-            rows = active[cont]
-            tn = nxt[cont]
-            pos[rows, axis[rows]] += (tn - t[cont]) * sign[rows]
-            idx = rng.integers(0, 2 * d, rows.size)
-            axis[rows] = idx // 2
-            sign[rows] = (1 - 2 * (idx % 2)).astype(np.int64)
-            cur_t[rows] = tn
-        active = active[cont]
+                within = when <= h
+                np.add.at(counts[h], who[within], 1)
+                late[h][who[within & (when > h // 2)]] = True
     return VisitStats(counts, late)
+
+
+def _segments(nc, forced, n):
+    """Step ranges (lo, hi] covering 1..n with at most half a block of load.
+
+    A segment's load is its expected Poisson points plus its forced steps.
+    Cuts fall on step boundaries and one step adds at most about 38 (p just
+    below 1), so no segment exceeds its share by more than that.
+    """
+    def load(t):
+        return nc[t] - nc[1] + np.searchsorted(forced, t, side="right")
+
+    total = load(n)
+    parts = max(1, math.ceil(total / (_BLOCK_CELLS // 2)))
+    cuts = [0]
+    for j in range(1, parts):
+        goal = j * total / parts
+        a, b = cuts[-1] + 1, n
+        while a < b:
+            mid = (a + b) // 2
+            if load(mid) >= goal:
+                b = mid
+            else:
+                a = mid + 1
+        if a < n:
+            cuts.append(a)
+    cuts.append(n)
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _visit_block(d, nc, lo, hi, seg_forced, k, rel, heading, rng):
+    """Target hits of a block of paths over steps lo + 1..hi.
+
+    Row r carries ``rel[r]`` (position after step lo, minus the target) and
+    ``heading[r]`` (direction of the run in progress), both advanced to step
+    hi in place.  Its redraws are ``k[r]`` Poisson points in hazard time,
+    placed as normalized exponential spacings so they come out sorted, and
+    the segment's forced steps.  A step hit twice keeps a zero-length run
+    with its own direction: only the last draw at a step moves the walk.
+    Returns the (row, time) pairs of the hits.
+    """
+    b = k.size
+    width = int(k.max())
+    base = nc[max(lo, 1)]
+    spacings = rng.standard_exponential((b, width + 1))
+    np.cumsum(spacings, axis=1, out=spacings)
+    scale = (nc[hi] - base) / spacings[np.arange(b), k]
+    points = spacings[:, :width]
+    points *= scale[:, None]
+    points += base
+    steps = np.searchsorted(nc, points)
+    np.clip(steps, max(lo, 1) + 1, hi, out=steps)  # rounding at the ends
+    del spacings, points
+    # row r's points beyond k[r] pad with hi + 1: zero-length runs at the end
+    steps[np.arange(width) >= k[:, None]] = hi + 1
+    if seg_forced.size:
+        steps = np.sort(np.concatenate(
+            [steps, np.broadcast_to(seg_forced, (b, seg_forced.size))], axis=1), axis=1)
+    m = steps.shape[1] + 1  # runs per row: the carried one, then one per redraw
+
+    starts = np.empty((b, m + 1), dtype=rel.dtype)
+    starts[:, 0] = lo + 1
+    starts[:, 1:m] = steps
+    starts[:, m] = hi + 1
+    del steps
+    length = np.diff(starts, axis=1)
+    dirs = np.empty((b, m), dtype=np.uint8)
+    dirs[:, 0] = heading
+    dirs[:, 1:] = rng.integers(0, 2 * d, (b, m - 1), dtype=np.uint8)
+    heading[:] = dirs[np.arange(b), k + seg_forced.size]
+    axis = dirs >> 1
+    signed = np.where(dirs & 1, -length, length)  # odd codes step backwards
+
+    # q[c]: coordinate c of position - target before each run, an exclusive
+    # per-row cumsum started from the carried offset
+    q = np.empty((d, b, m), dtype=rel.dtype)
+    dist = np.zeros((b, m), dtype=rel.dtype)  # L1 distance to the target
+    for c in range(d):
+        qc = q[c]
+        qc[:, 0] = rel[:, c]
+        np.multiply(signed[:, :-1], axis[:, :-1] == c, out=qc[:, 1:])
+        np.cumsum(qc, axis=1, out=qc)
+        rel[:, c] = qc[:, -1] + signed[:, -1] * (axis[:, -1] == c)
+        dist += np.abs(qc)
+
+    # the run hits iff the target lies ahead on its axis, within its length:
+    # then the L1 distance equals the signed on-axis offset
+    cand = np.flatnonzero(dist <= length)
+    row, col = np.divmod(cand, m)
+    offset = q[axis.ravel()[cand], row, col]
+    ahead = np.where(dirs.ravel()[cand] & 1, offset, -offset)
+    hit = (ahead == dist.ravel()[cand]) & (ahead >= 1)
+    row = row[hit]
+    return row, starts[row, col[hit]] + ahead[hit] - 1

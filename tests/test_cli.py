@@ -315,6 +315,26 @@ def test_verify_single_sample_exit_2(capsys, exp):
     assert "samples must be >= 2" in err
 
 
+def test_verify_scaling_zero_rate_exit_2(capsys):
+    # p = 0 runs every path straight along one axis: refused, not a crash
+    rc, out, err = _run(capsys, ["verify", "scaling", "--d", "2", "--p", "0",
+                                 "--n", "1000", "--samples", "100"])
+    assert rc == 2
+    assert out == ""
+    assert "needs 0 < p <= 1" in err
+
+
+def test_verify_critical_equal_turn_counts_is_a_verdict(capsys):
+    # both sampled turn counts are equal, so their s.e. is 0
+    rc, out, _ = _run(capsys, ["verify", "critical", "--d", "1", "--a", "1",
+                               "--n", "10000", "--delta", "0.1", "--samples", "2",
+                               "--seed", "8"])
+    assert rc in (0, 1)
+    det = json.loads(out)["details"]
+    assert det["turn_count_se"] == 0.0
+    assert rc == (1 if det["turn_count_mean"] != det["poisson_mean"] else 0)
+
+
 def test_nonpositive_dimension_exit_2(capsys):
     rc, _, err = _run(capsys, ["simulate", "--d", "0", "--schedule", CONST_HALF,
                                "--n", "5"])

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from turnwalk import oracle, walk
-from turnwalk.schedule import Constant, Critical, Explicit
+from turnwalk.schedule import Constant, Critical, Explicit, PowerDecay
 from turnwalk.walk import Direction, Path, TurnEvent, WalkState
 
 
@@ -270,6 +272,154 @@ def test_marginal_symmetry():
     for c in range(2):
         se = pos[:, c].std(ddof=1) / math.sqrt(pos.shape[0])
         assert abs(pos[:, c].mean()) < 4 * se
+
+
+def _exact_visit_law(d, schedule, n, target, horizons):
+    """Law of (count at each horizon, late flag at each horizon).
+
+    Enumerates every redraw set of steps 2..n and every direction sequence,
+    replaying the walk step by step.
+    """
+    probs = [float(schedule.p_at(t)) for t in range(2, n + 1)]
+    law = {}
+    for redraws in itertools.product((False, True), repeat=n - 1):
+        weight = math.prod(p if r else 1.0 - p for p, r in zip(probs, redraws))
+        if weight == 0.0:
+            continue
+        times = [1] + [t for t, r in zip(range(2, n + 1), redraws) if r]
+        share = weight / (2 * d) ** len(times)
+        for dirs in itertools.product(range(2 * d), repeat=len(times)):
+            drawn = dict(zip(times, dirs))
+            heading = None
+            pos = [0] * d
+            hits = []
+            for t in range(1, n + 1):
+                heading = drawn.get(t, heading)
+                pos[heading // 2] += 1 - 2 * (heading % 2)
+                if tuple(pos) == target:
+                    hits.append(t)
+            key = tuple(sum(v <= h for v in hits) for h in horizons) \
+                + tuple(int(any(h // 2 < v <= h for v in hits)) for h in horizons)
+            law[key] = law.get(key, 0.0) + share
+    return law
+
+
+def _visit_stats_pvalue(d, schedule, n, target, seed, samples=200_000):
+    horizons = (4, n)
+    stats = walk.sample_visit_stats(d, schedule, n, samples, _rng(seed),
+                                    target=target, horizons=horizons)
+    assert np.all(stats.counts[4] <= stats.counts[n])
+    cols = [stats.counts[h] for h in horizons] + [stats.late[h] for h in horizons]
+    law = _exact_visit_law(d, schedule, n, target, horizons)
+    return _chi_square_pvalue(np.stack(cols, axis=1).astype(np.int64), law)
+
+
+_VISIT_SCHEDULES = {
+    "const-half": Constant(0.5),
+    "const-zero": Constant(0.0),
+    "const-one": Constant(1.0),
+    "forced-and-frozen": Explicit((0.4, 1.0, 0.3, 0.0, 1.0, 0.6, 0.0)),
+    "critical": Critical(1.0, n0=2),
+    "power": PowerDecay(1.0, 0.7),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", sorted(_VISIT_SCHEDULES))
+def test_visit_stats_match_exact_law(d, name):
+    schedule = _VISIT_SCHEDULES[name]
+    assert _visit_stats_pvalue(d, schedule, 7, (0,) * d, 101 + d) > 1e-3
+
+
+@pytest.mark.parametrize("d, target", [(1, (1,)), (1, (-2,)), (2, (1, 0)),
+                                       (2, (1, -1))])
+@pytest.mark.parametrize("name", ["const-half", "forced-and-frozen"])
+def test_visit_stats_off_origin_target(d, target, name):
+    schedule = _VISIT_SCHEDULES[name]
+    assert _visit_stats_pvalue(d, schedule, 7, target, 111) > 1e-3
+
+
+@pytest.mark.parametrize("d, target, name", [(1, (0,), "const-half"),
+                                             (2, (1, 0), "const-half"),
+                                             (2, (0, 0), "const-one"),
+                                             (2, (0, 0), "forced-and-frozen")])
+def test_visit_stats_exact_law_across_blocks(monkeypatch, d, target, name):
+    # four-cell blocks: every path crosses segment and block boundaries,
+    # carrying its position and direction over each
+    monkeypatch.setattr(walk, "_BLOCK_CELLS", 4)
+    schedule = _VISIT_SCHEDULES[name]
+    nc, forced = walk._hazard_table(schedule, 7)
+    assert len(walk._segments(nc, forced[(forced >= 2) & (forced <= 7)], 7)) >= 2
+    assert _visit_stats_pvalue(d, schedule, 7, target, 121, samples=4_000) > 1e-3
+
+
+class _BackwardsRng:
+    """Unit spacings, and every drawn direction is the last code (backwards)."""
+
+    def standard_exponential(self, shape):
+        return np.ones(shape)
+
+    def integers(self, low, high, size, dtype):
+        return np.full(size, high - 1, dtype=dtype)
+
+
+def test_visit_block_carries_each_rows_own_heading():
+    # row 0 redraws twice, row 1 never: row 1 keeps its heading and runs
+    # straight through the segment, row 0 ends on its last draw
+    n = 10
+    nc, _ = walk._hazard_table(Constant(0.5), n)
+    rel = np.zeros((2, 1), dtype=np.int32)
+    heading = np.zeros(2, dtype=np.uint8)
+    walk._visit_block(1, nc, 0, n, np.array([], dtype=np.int64), np.array([2, 0]),
+                      rel, heading, _BackwardsRng())
+    assert heading.tolist() == [1, 0]
+    assert rel[1, 0] == n
+    assert rel[0, 0] < 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1.0, 0.3, 0.9]), min_size=1, max_size=12),
+       st.integers(min_value=1, max_value=20))
+def test_forced_lookup_matches_reference_loop(values, n):
+    schedule = Explicit(tuple(values))
+    p = schedule.prefix_probs(n)
+    # reference: next_forced[t] = smallest step j > t with p_j == 1, else n + 1
+    next_forced = np.full(n + 2, n + 1, dtype=np.int64)
+    for j in range(n, 0, -1):
+        next_forced[j - 1] = j if p[j - 1] >= 1.0 else next_forced[j]
+    with np.errstate(divide="ignore"):
+        hazard = -np.log1p(-np.where(p >= 1.0, 0.0, p))
+    nc, forced = walk._hazard_table(schedule, n)
+    steps = np.arange(n + 1)
+    assert np.array_equal(walk._next_forced(forced, steps), next_forced[:n + 1])
+    assert np.array_equal(nc, np.concatenate([[0.0], np.cumsum(hazard)]))
+
+
+def test_event_engine_golden_output():
+    # forced steps 2, 5 and 8, snapshots and a change window; the expected
+    # values were produced by the engine with its earlier per-step
+    # next-forced table, so the sorted-array lookup keeps every draw
+    schedule = Explicit((0.3, 1.0, 0.2, 0.0, 1.0, 0.5, 0.05, 1.0, 0.4))
+    out = walk.sample_positions(2, schedule, 14, 6, _rng(2026), times=(3, 7, 14),
+                                count_changes_in=(4, 11), method="events")
+    assert out.at(3).tolist() == [[-1, 0], [-1, 0], [0, -1], [-1, 0], [-1, -2], [2, -1]]
+    assert out.at(7).tolist() == [[-4, -1], [1, 0], [-1, -2], [-2, 3], [-3, -4], [3, 2]]
+    assert out.at(14).tolist() == [[-2, 0], [-4, 0], [-3, 3], [-6, 0], [0, -4], [2, 4]]
+    assert out.change_counts.tolist() == [4, 2, 3, 3, 2, 3]
+
+
+@pytest.mark.parametrize("n, samples", [(4_000_000, 1), (100_000, 2_000)])
+def test_visit_stats_memory_bounded(n, samples):
+    # one long path spans many blocks; many paths fill many blocks.  Beyond
+    # the O(n) schedule and hazard arrays, memory stays under a fixed cap.
+    tracemalloc.start()
+    try:
+        walk.sample_visit_stats(2, Constant(0.5), n, samples, _rng(7),
+                                horizons=(n // 10, n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * 8 * (n + 1) < 32e6
 
 
 def test_visits_straight_path():
