@@ -12,7 +12,8 @@ Subcommands:
 
 Artifacts are self-describing: CSV starts with a ``# config {...}`` comment
 line and JSON embeds a ``config`` object, so every file names the exact run
-that produced it.  Identical argv produce byte-identical output.
+that produced it.  Identical argv produce byte-identical output.  JSON is
+strict: non-finite numbers are written as null.
 
 Exit codes: 0 success; 1 a verdict or statistical test failed; 2 usage or
 precondition error; 3 an unexpected internal error (a crash never reads as a
@@ -59,8 +60,10 @@ def _out_stream(path):
 
 
 def _emit_json(obj: dict, path) -> None:
+    """Strict JSON: a non-finite number is written as null."""
+    text = json.dumps(verify._builtin(obj), indent=2, allow_nan=False)
     with _out_stream(path) as fh:
-        fh.write(json.dumps(obj, indent=2))
+        fh.write(text)
         fh.write("\n")
 
 

@@ -135,9 +135,10 @@ class Critical(Schedule):
         return self.a / n
 
     def prefix_probs(self, n: int) -> np.ndarray:
-        out = np.full(n, float(self.prefix_p))
-        if n >= self.n0:
-            out[self.n0 - 1:] = float(self.a) / np.arange(self.n0, n + 1)
+        out = np.arange(1, n + 1, dtype=float)
+        tail = out[self.n0 - 1:]
+        np.divide(float(self.a), tail, out=tail)
+        out[:self.n0 - 1] = float(self.prefix_p)
         return out
 
     def to_json(self) -> dict:
@@ -179,9 +180,11 @@ class PowerDecay(Schedule):
         return self.c * n ** (-self.gamma)
 
     def prefix_probs(self, n: int) -> np.ndarray:
-        out = np.full(n, float(self.prefix_p))
-        if n >= self.n0:
-            out[self.n0 - 1:] = self.c * np.arange(self.n0, n + 1, dtype=float) ** (-self.gamma)
+        out = np.arange(1, n + 1, dtype=float)
+        tail = out[self.n0 - 1:]
+        np.power(tail, -self.gamma, out=tail)
+        np.multiply(self.c, tail, out=tail)
+        out[:self.n0 - 1] = float(self.prefix_p)
         return out
 
     def to_json(self) -> dict:
@@ -221,10 +224,8 @@ class Periodic(Schedule):
     def prefix_probs(self, n: int) -> np.ndarray:
         out = np.full(n, float(self.prefix_p))
         if n >= self.n0:
-            m = n - self.n0 + 1
-            cycle = np.asarray(self.values, dtype=float)
-            reps = -(-m // len(cycle))
-            out[self.n0 - 1:] = np.tile(cycle, reps)[:m]
+            for i, v in enumerate(self.values):
+                out[self.n0 - 1 + i::len(self.values)] = float(v)
         return out
 
     def to_json(self) -> dict:

@@ -30,7 +30,7 @@ from scipy.stats import chi2 as _chi2
 
 from . import walk
 from .schedule import Constant, Critical, Schedule
-from .zigzag import b_from_a
+from .zigzag import b_from_a, sample_endpoints
 
 __all__ = [
     "STREAMS",
@@ -48,6 +48,9 @@ __all__ = [
     "moment4_experiment",
     "envelope",
 ]
+
+# Cells (walks x steps) the pass-once experiment holds at a time
+_VOLKOV_CELLS = 1 << 21
 
 STREAMS = {
     "tail": 1,
@@ -85,13 +88,17 @@ def _check_samples(samples: int, minimum: int = 1, name: str = "samples") -> Non
 
 
 def _builtin(obj):
-    """Recursively strip numpy scalar/array types for JSON-stable output."""
+    """Recursively strip numpy scalar/array types for JSON-stable output.
+
+    Non-finite floats become None (JSON null): strict JSON has no token for
+    them.
+    """
     if isinstance(obj, dict):
         return {k: _builtin(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_builtin(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -240,54 +247,6 @@ def poisson_gof(counts: np.ndarray, lam: float, alpha: float = 0.01,
     dof = expected.size - 1
     crit = float(_chi2.ppf(1.0 - alpha, dof))
     return stat, crit, dof
-
-
-def _zigzag_endpoints(d: int, b: float, eps: float, samples: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Vectorized draw of Z_1 over many labeled PPP realizations on (eps, 1].
-
-    The label chain is generated forward from the first interval instead of
-    outward from the anchor at t = 1; the chain's transition matrix is
-    symmetric, so labels are uniform on every interval and both
-    constructions induce the same joint law (this equivalence is tested
-    against ``zigzag.label_intervals``).
-    """
-    lam = b * math.log(1.0 / eps)
-    counts = rng.poisson(lam, samples)
-    total_pts = int(counts.sum())
-    pts = np.exp(rng.uniform(math.log(eps), 0.0, total_pts))
-    owner = np.repeat(np.arange(samples), counts)
-    order = np.lexsort((pts, owner))
-    pts = pts[order]
-
-    n_int = counts + 1
-    total_int = int(n_int.sum())
-    int_owner = np.repeat(np.arange(samples), n_int)
-    starts = np.zeros(samples, dtype=np.int64)
-    np.cumsum(n_int[:-1], out=starts[1:])
-    first = np.zeros(total_int, dtype=bool)
-    first[starts] = True
-    last = np.zeros(total_int, dtype=bool)
-    last[starts + counts] = True
-    lefts = np.empty(total_int)
-    lefts[first] = eps
-    lefts[~first] = pts
-    rights = np.empty(total_int)
-    rights[last] = 1.0
-    rights[~last] = pts
-    lengths = rights - lefts
-
-    base = rng.integers(0, 2 * d, samples)
-    inc = np.zeros(total_int, dtype=np.int64)
-    inc[~first] = 1 + rng.integers(0, 2 * d - 1, total_pts)
-    csum = np.cumsum(inc)
-    labels = (base[int_owner] + csum - csum[starts][int_owner]) % (2 * d)
-    axis = labels // 2
-    sign = 1 - 2 * (labels % 2)
-
-    coords = np.zeros((samples, d))
-    np.add.at(coords, (int_owner, axis), sign * lengths)
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +418,7 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
         if size == 0:
             continue
         rng = stream_rng(seed, "critical_zigzag", s)
-        z_parts.append(_zigzag_endpoints(d, b, delta, size, rng))
+        z_parts.append(sample_endpoints(d, b, delta, size, rng))
     zz = np.concatenate(z_parts, axis=0)
 
     lam = b * math.log(1.0 / delta)
@@ -596,6 +555,39 @@ def _volkov_certify(p: float, j: int, horizon: int | None) -> tuple:
     return horizon, err(horizon)
 
 
+def _volkov_chunk(p: float, levels: tuple, c: int, horizon: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Pass-once flags of c walks, one row per level, streamed in blocks of time.
+
+    Each walk carries its position, whether it has hit each level yet, and
+    whether it has fallen back to the level or below since the first hit,
+    so memory is a fixed number of cells per walk, whatever the horizon.  A
+    first hit on the last step counts as passed.
+    """
+    width = max(1, _VOLKOV_CELLS // c)
+    x0 = np.zeros((c, 1), dtype=np.int32)
+    hit = np.zeros((len(levels), c), dtype=bool)
+    fell = np.zeros((len(levels), c), dtype=bool)
+    rows = np.arange(c)
+    for t0 in range(0, horizon, width):
+        w = min(width, horizon - t0)
+        steps = (rng.random((c, w)) < p).astype(np.int8) * 2 - 1
+        x = np.cumsum(steps, axis=1, dtype=np.int32)
+        x += x0
+        x0 = x[:, -1:]
+        # suffix minima: smallest value from each time onward in the block
+        suffmin = np.minimum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
+        for k, level in enumerate(levels):
+            fell[k] |= hit[k] & (suffmin[:, 0] <= level)
+            at = x == level
+            tau = at.argmax(axis=1)
+            first = ~hit[k] & at[rows, tau]
+            inner = first & (tau < w - 1)
+            fell[k, inner] = suffmin[rows[inner], tau[inner] + 1] <= level
+            hit[k] |= first
+    return hit & ~fell
+
+
 def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
                          horizon: int | None = None, seed: int = 0,
                          shards: int = 1) -> VolkovResult:
@@ -618,26 +610,10 @@ def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
     chunk = 2048
     for s, size in enumerate(_shard_sizes(samples, shards)):
         rng = stream_rng(seed, "volkov", s)
-        done = 0
-        while done < size:
-            c = min(chunk, size - done)
-            steps = (rng.random((c, horizon)) < p).astype(np.int8) * 2 - 1
-            x = np.cumsum(steps, axis=1, dtype=np.int32)
-            # suffix minima: smallest value from each time onward
-            suffmin = np.minimum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
-            rows = np.arange(c)
-            passed = {}
-            for level in (i, j):
-                hit = x == level
-                has = hit.any(axis=1)
-                tau = hit.argmax(axis=1)
-                after = np.full(c, np.iinfo(np.int32).max, dtype=np.int32)
-                inner = has & (tau < horizon - 1)
-                after[inner] = suffmin[rows[inner], tau[inner] + 1]
-                passed[level] = has & (after > level)
-            hits_i += int(passed[i].sum())
-            hits_ij += int((passed[i] & passed[j]).sum())
-            done += c
+        for done in range(0, size, chunk):
+            passed = _volkov_chunk(p, (i, j), min(chunk, size - done), horizon, rng)
+            hits_i += int(passed[0].sum())
+            hits_ij += int((passed[0] & passed[1]).sum())
     single = _proportion_estimator(hits_i, samples, seed, shards)
     joint = _proportion_estimator(hits_ij, samples, seed, shards)
     return VolkovResult(single=single, joint=joint, horizon=horizon,

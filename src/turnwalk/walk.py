@@ -8,10 +8,9 @@ direction is uniform.
 
 Two samplers produce the same law:
 
-* ``simulate``         one Bernoulli decision per step;
-* ``simulate_events``  jumps straight from one redraw time to the next, by
-                       geometric inversion for constant schedules and by a
-                       thinning / survival-product hybrid otherwise.
+* ``simulate``         one Bernoulli decision per step, the reference;
+* ``simulate_events``  draws the redraw set whole, with the run engine
+                       below.
 
 Paths are stored sparsely as the ordered list of redraw times with the
 direction drawn at each.  ``visits`` counts target hits segment by segment
@@ -20,9 +19,9 @@ steps and exists for cross-checking.
 
 ``sample_positions`` is the vectorized many-path workhorse used by the
 statistical experiments; it implements both laws batch-wise and can record
-position snapshots and direction-change counts along the way.  Its event
-engine advances all paths one redraw at a time, each gap found by inverting
-the cumulative hazard table.
+position snapshots and direction-change counts along the way.  Its
+per-step engine replays every step and is the batched reference; its event
+engine is the run engine below.
 
 For a ``Constant`` rate the endpoint alone needs O(d) variates per path.
 The redraws at steps 2..n are iid Bernoulli(p), so given R runs the cut
@@ -34,9 +33,11 @@ m + BetaBinomial(N - R, m, R - m) (Devroye, *Non-Uniform Random Variate
 Generation*, 1986); splitting n class by class gives the 2d direction
 totals, and coordinate i is T(+i) - T(-i).
 
-``sample_visit_stats`` draws each path's redraw set whole.  The redraw
-indicators of steps 2..n are independent, and step j redraws with
-probability p_j = 1 - exp(-h_j), h_j = -log(1 - p_j).  Give step j an
+One run engine serves ``simulate_events``, the event engine of
+``sample_positions`` and ``sample_visit_stats``: it draws each path's
+redraw set whole.  The redraw indicators of steps 2..n are independent,
+and step j redraws with probability p_j = 1 - exp(-h_j),
+h_j = -log(1 - p_j).  Give step j an
 interval of length h_j on the cumulative-hazard axis: the steps hit by a
 unit-rate Poisson process there have exactly the law of the redraw set.
 Steps with p_j = 1 own no interval and are added as forced redraws, as is
@@ -48,7 +49,10 @@ without a sort or a sequential loop.  A step hit twice keeps a zero-length
 run with its own direction; only the last draw at a step moves the walk, so
 the law is unchanged.  Paths are processed in (paths x runs) blocks of
 bounded size, and a horizon too long for one block is cut into segments
-that each path crosses carrying its position and direction.
+that each path crosses carrying its position and direction; snapshot times
+and change-window bounds also end segments, so a snapshot is a carried
+position.  The callers only read the runs: target hits run by run, carried
+positions and direction changes, or the redraw events of one path.
 """
 
 from __future__ import annotations
@@ -80,11 +84,7 @@ __all__ = [
     "VisitStats",
 ]
 
-# Samplers switch from per-step thinning to survival-product inversion below
-# this rate; keeps expected draws per update O(10) without product underflow.
-_THINNING_CUTOFF = 0.1
-
-# Cells (paths x runs) in one block of the visit engine; its memory beyond
+# Cells (paths x runs) in one block of the run engine; its memory beyond
 # the O(n) hazard table and the per-path state is a fixed multiple of this.
 _BLOCK_CELLS = 1 << 18
 
@@ -262,77 +262,27 @@ def simulate(d: int, schedule: Schedule, n_steps: int, rng: np.random.Generator,
     return Path(initial_state(d, start).position, tuple(events), n_steps)
 
 
-def _geometric_gap(p, rng: np.random.Generator) -> float:
-    """Inversion sampler for a Geometric(p) gap on {1, 2, ...}; inf if p == 0."""
-    if p >= 1:
-        return 1
-    if p <= 0:
-        return math.inf
-    u = rng.random()
-    if u == 0.0:
-        return math.inf
-    return math.ceil(math.log(u) / math.log1p(-p))
-
-
-def _next_update_varying(schedule: Schedule, m: int, horizon: int,
-                         rng: np.random.Generator) -> int | None:
-    """First redraw time after m, or None if none occurs by the horizon.
-
-    Steps with p >= 0.1 are decided by one Bernoulli draw each.  A maximal
-    stretch of smaller rates is resolved with a single exponential variate
-    against the running -log survival product, which is exact and keeps the
-    work per update bounded.  Leaving a stretch without an update is the only
-    information consumed from the variate, so resuming thinning afterwards
-    stays exact.
-    """
-    j = m
-    while j < horizon:
-        j += 1
-        p = schedule.p_at(j)
-        if p >= _THINNING_CUTOFF:
-            if rng.random() < p:
-                return j
-            continue
-        u = rng.random()
-        budget = math.inf if u == 0.0 else -math.log(u)
-        hazard = 0.0
-        while True:
-            hazard += -math.log1p(-p)
-            if hazard >= budget:
-                return j
-            j += 1
-            if j > horizon:
-                return None
-            p = schedule.p_at(j)
-            if p >= _THINNING_CUTOFF:
-                j -= 1  # re-examine this step under thinning
-                break
-    return None
-
-
 def simulate_events(d: int, schedule: Schedule, n_steps: int,
                     rng: np.random.Generator,
                     start: Sequence[int] | None = None) -> Path:
     """Event-driven sampler with the same law as ``simulate``.
 
-    Only the redraw times are sampled: gaps are Geometric(p) by inversion for
-    ``Constant`` schedules, and come from the thinning/inversion hybrid for
-    time-dependent rates.
+    Runs the blocked engine of ``sample_positions`` on one path and keeps
+    its distinct redraw steps, each with the last direction drawn there.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     origin = initial_state(d, start).position
     events = []
     if n_steps >= 1:
-        t = 1  # the first step always redraws
-        constant = isinstance(schedule, Constant)
-        while t is not None and t <= n_steps:
-            events.append(TurnEvent(t, _draw_direction(d, rng)))
-            if constant:
-                gap = _geometric_gap(schedule.p, rng)
-                t = None if math.isinf(gap) else t + int(gap)
-            else:
-                t = _next_update_varying(schedule, t, n_steps, rng)
+        for lo, _hi, _rows, starts, length, dirs, _q, _end in _runs(d, schedule, n_steps,
+                                                                   1, rng):
+            # a zero-length run is a draw overwritten at the same step; the
+            # carried run is the step-1 draw in the first segment only
+            keep = length > 0
+            keep[:, 0] &= lo == 0
+            events += [TurnEvent(int(t), Direction.from_index(int(c)))
+                       for t, c in zip(starts[:, :-1][keep], dirs[keep])]
     return Path(origin, tuple(events), n_steps)
 
 
@@ -393,15 +343,16 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
     Returns positions (int64 arrays of shape (samples, d)) at each requested
     time (default: the horizon only).  ``count_changes_in=(lo, hi)`` also
     counts, per path, the steps t in (lo, hi] at which the direction actually
-    changed.  ``method`` selects the per-step law ("step") or the event-jump
-    law ("events"); both laws are identical, matching ``simulate`` and
+    changed.  ``method`` selects the per-step engine ("step") or the run
+    engine ("events"); both draw the same law, matching ``simulate`` and
     ``simulate_events``.  "step" replays every step and is the reference
     the other paths are tested against.
 
     With "events", a ``Constant`` schedule, only the horizon requested and
     no change window, the endpoints come from the composition shortcut in
     the module docstring: O(d) variates per path, independent of n.  Every
-    other "events" request runs the event-jump engine.
+    other "events" request runs the run engine, with memory bounded as in
+    ``sample_visit_stats``.
     """
     _check_dimension(d)
     if n < 0:
@@ -430,7 +381,22 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
     elif isinstance(schedule, Constant) and times == (n,) and changes is None:
         positions[n][:] = _constant_endpoints(d, schedule.p, n, samples, rng)
     else:
-        _run_events(d, schedule, n, samples, rng, positions, changes, count_changes_in)
+        cuts = set(times) | set(count_changes_in or ())
+        for lo, hi, rows, _starts, length, dirs, _q, end in _runs(
+                d, schedule, n, samples, rng, cuts=cuts):
+            if hi in positions:
+                positions[hi][rows] = end
+            if changes is not None and count_changes_in[0] <= lo \
+                    and hi <= count_changes_in[1]:
+                # a change is a nonzero-length run heading elsewhere than the
+                # last nonzero-length run before it, or else than the carried
+                # run 0, which holds the heading at step lo whatever its length
+                moves = length > 0
+                last = np.where(moves, np.arange(moves.shape[1]), 0)
+                np.maximum.accumulate(last, axis=1, out=last)
+                before = np.take_along_axis(dirs, last[:, :-1], axis=1)
+                changes[rows] += np.count_nonzero(moves[:, 1:] & (dirs[:, 1:] != before),
+                                                  axis=1)
     return PositionsSample(positions, changes)
 
 
@@ -493,9 +459,9 @@ def _hazard_table(schedule, n):
 
     nc[t] = sum over j <= t of -log(1 - p_j), with p_j == 1 steps adding
     zero since -log(0) would poison the cumsum; those steps are listed in
-    ``forced`` instead, which ends with the sentinel n + 1.  The hazards
-    are computed in place in the ``prefix_probs`` array, so the working set
-    is two O(n) float arrays.
+    ``forced`` instead, leaving out step 1, which always redraws.  The
+    hazards are computed in place in the ``prefix_probs`` array, so the
+    working set is two O(n) float arrays.
     """
     h = schedule.prefix_probs(n)
     forced = np.flatnonzero(h >= 1.0) + 1
@@ -506,71 +472,7 @@ def _hazard_table(schedule, n):
     nc = np.empty(n + 1)
     nc[0] = 0.0
     np.cumsum(h, out=nc[1:])
-    return nc, np.append(forced, n + 1)
-
-
-def _next_forced(forced, t):
-    """Smallest forced step > t, else the sentinel n + 1, per entry of t."""
-    return forced[np.searchsorted(forced, t, side="right")]
-
-
-def _run_events(d, schedule, n, samples, rng, positions, changes, window):
-    nc, forced = _hazard_table(schedule, n)
-    snap_times = np.asarray(sorted(positions), dtype=np.int64)
-
-    active = np.arange(samples)
-    cur_t = np.ones(samples, dtype=np.int64)  # time of the latest redraw
-    idx0 = rng.integers(0, 2 * d, samples)
-    axis = idx0 // 2
-    sign = (1 - 2 * (idx0 % 2)).astype(np.int64)
-    pos = np.zeros((samples, d), dtype=np.int64)  # position after step cur_t - 1
-
-    while active.size:
-        t = cur_t[active]
-        u = rng.random(active.size)
-        with np.errstate(divide="ignore"):
-            budget = -np.log(u)
-        nxt = np.searchsorted(nc, nc[t] + budget, side="left")
-        nxt = np.maximum(nxt, t + 1)
-        nxt = np.minimum(nxt, _next_forced(forced, t))
-
-        # record snapshots landing inside the current run [t, nxt)
-        for s in snap_times:
-            if s == 0:
-                continue
-            hit = (t <= s) & (s < nxt)
-            if hit.any():
-                rows = active[hit]
-                offs = (s - t[hit] + 1) * sign[rows]
-                snap = pos[rows]
-                snap[np.arange(rows.size), axis[rows]] += offs
-                positions[s][rows] = snap
-
-        finished = nxt > n
-        if finished.any():
-            rows = active[finished]
-            offs = (n - t[finished] + 1) * sign[rows]
-            pos[rows, axis[rows]] += offs
-
-        cont = ~finished
-        if cont.any():
-            rows = active[cont]
-            tn = nxt[cont]
-            offs = (tn - t[cont]) * sign[rows]
-            pos[rows, axis[rows]] += offs
-            idx = rng.integers(0, 2 * d, rows.size)
-            new_axis = idx // 2
-            new_sign = (1 - 2 * (idx % 2)).astype(np.int64)
-            if changes is not None:
-                lo, hi = window
-                moved = ((new_axis != axis[rows]) | (new_sign != sign[rows])) \
-                    & (lo < tn) & (tn <= hi)
-                changes[rows] += moved
-            axis[rows] = new_axis
-            sign[rows] = new_sign
-            cur_t[rows] = tn
-        active = active[cont]
-    return
+    return nc, forced[forced >= 2]
 
 
 @dataclass(frozen=True)
@@ -621,46 +523,44 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     if samples == 0:
         return VisitStats(counts, late)
 
-    nc, forced = _hazard_table(schedule, n)
-    forced = forced[(forced >= 2) & (forced <= n)]
-    # |position - target|_1 <= n + |target|_1 bounds every engine integer
-    dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64
-    rel = np.tile(-np.asarray(target, dtype=dtype), (samples, 1))  # position - target
-    heading = rng.integers(0, 2 * d, samples, dtype=np.uint8)
-
-    for lo, hi in _segments(nc, forced, n):
-        seg_forced = forced[np.searchsorted(forced, lo, side="right"):
-                            np.searchsorted(forced, hi, side="right")]
-        k = rng.poisson(nc[hi] - nc[max(lo, 1)], samples)
-        rows = max(1, _BLOCK_CELLS // (int(k.max()) + seg_forced.size + 2))
-        for r0 in range(0, samples, rows):
-            r1 = min(r0 + rows, samples)
-            who, when = _visit_block(d, nc, lo, hi, seg_forced, k[r0:r1],
-                                     rel[r0:r1], heading[r0:r1], rng)
-            who += r0
-            for h in horizons:
-                within = when <= h
-                np.add.at(counts[h], who[within], 1)
-                late[h][who[within & (when > h // 2)]] = True
+    for _lo, _hi, rows, starts, length, dirs, q, _end in _runs(d, schedule, n, samples,
+                                                               rng, target=target):
+        # the run hits iff the target lies ahead on its axis, within its
+        # length: then the L1 distance equals the signed on-axis offset
+        dist = np.abs(q).sum(axis=0, dtype=q.dtype)
+        cand = np.flatnonzero(dist <= length)
+        row, col = np.divmod(cand, length.shape[1])
+        code = dirs.ravel()[cand]
+        offset = q[code >> 1, row, col]
+        ahead = np.where(code & 1, offset, -offset)
+        hit = (ahead == dist.ravel()[cand]) & (ahead >= 1)
+        row, col, ahead = row[hit], col[hit], ahead[hit]
+        who = rows[row]
+        when = starts[row, col] + ahead - 1
+        for h in horizons:
+            within = when <= h
+            np.add.at(counts[h], who[within], 1)
+            late[h][who[within & (when > h // 2)]] = True
     return VisitStats(counts, late)
 
 
-def _segments(nc, forced, n):
+def _segments(nc, forced, n, cuts=()):
     """Step ranges (lo, hi] covering 1..n with at most half a block of load.
 
     A segment's load is its expected Poisson points plus its forced steps.
     Cuts fall on step boundaries and one step adds at most about 38 (p just
-    below 1), so no segment exceeds its share by more than that.
+    below 1), so no segment exceeds its share by more than that.  Every
+    step in ``cuts`` inside (0, n) also ends a segment.
     """
     def load(t):
         return nc[t] - nc[1] + np.searchsorted(forced, t, side="right")
 
     total = load(n)
     parts = max(1, math.ceil(total / (_BLOCK_CELLS // 2)))
-    cuts = [0]
+    bounds = [0]
     for j in range(1, parts):
         goal = j * total / parts
-        a, b = cuts[-1] + 1, n
+        a, b = bounds[-1] + 1, n
         while a < b:
             mid = (a + b) // 2
             if load(mid) >= goal:
@@ -668,24 +568,75 @@ def _segments(nc, forced, n):
             else:
                 a = mid + 1
         if a < n:
-            cuts.append(a)
-    cuts.append(n)
-    return list(zip(cuts[:-1], cuts[1:]))
+            bounds.append(a)
+    bounds = sorted({0, n, *bounds, *(c for c in cuts if 0 < c < n)})
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _visit_block(d, nc, lo, hi, seg_forced, k, rel, heading, rng):
-    """Target hits of a block of paths over steps lo + 1..hi.
+def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
+    """Draw ``samples`` paths of n >= 1 steps and yield their runs by block.
 
-    Row r carries ``rel[r]`` (position after step lo, minus the target) and
-    ``heading[r]`` (direction of the run in progress), both advanced to step
-    hi in place.  Its redraws are ``k[r]`` Poisson points in hazard time,
-    placed as normalized exponential spacings so they come out sorted, and
-    the segment's forced steps.  A step hit twice keeps a zero-length run
-    with its own direction: only the last draw at a step moves the walk.
-    Returns the (row, time) pairs of the hits.
+    The steps are cut into segments (``_segments``); each path crosses a
+    segment carrying its position and heading.  Per segment, each path
+    draws its count of Poisson points, and the paths, ordered by count so
+    that blocks carry little padding, are cut into blocks of at most about
+    ``_BLOCK_CELLS`` runs.  Per block, yields
+
+    * ``lo, hi``: the segment, steps lo + 1..hi;
+    * ``rows``: the block's paths;
+    * ``starts`` (b, m + 1) and ``length`` (b, m): run j of row r covers
+      steps starts[r, j]..starts[r, j + 1] - 1, and ``dirs`` (b, m) is its
+      direction code (axis ``code >> 1``, backwards when odd).  Run 0 is
+      the one carried in, then one run per redraw; a zero-length run is a
+      draw overwritten at the same step, and padding runs start at hi + 1;
+    * ``q`` (d, b, m): position minus ``target`` before each run, per
+      coordinate, and ``end`` (b, d): the same after step hi.
+    """
+    nc, forced = _hazard_table(schedule, n)
+    target = (0,) * d if target is None else target
+    # |position - target|_1 <= n + |target|_1 bounds every engine integer
+    dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64
+    rel = np.tile(-np.asarray(target, dtype=dtype), (samples, 1))
+    heading = rng.integers(0, 2 * d, samples, dtype=np.uint8)
+    for lo, hi in _segments(nc, forced, n, cuts):
+        seg_forced = forced[np.searchsorted(forced, lo, side="right"):
+                            np.searchsorted(forced, hi, side="right")]
+        k = rng.poisson(nc[hi] - nc[max(lo, 1)], samples)
+        order = np.argsort(k, kind="stable")
+        k = k[order]
+        r0 = 0
+        while r0 < samples:
+            cells = np.arange(1, samples - r0 + 1) * (k[r0:] + seg_forced.size + 2)
+            r1 = r0 + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+            rows = order[r0:r1]
+            starts, dirs = _block_runs(d, nc, lo, hi, seg_forced, k[r0:r1],
+                                       heading, rows, dtype, rng)
+            length = np.diff(starts, axis=1)
+            axis = dirs >> 1
+            signed = np.where(dirs & 1, -length, length)
+            # q[c]: an exclusive per-row cumsum from the carried position
+            q = np.empty((d,) + dirs.shape, dtype=dtype)
+            end = np.empty((rows.size, d), dtype=dtype)
+            for c, qc in enumerate(q):
+                qc[:, 0] = rel[rows, c]
+                np.multiply(signed[:, :-1], axis[:, :-1] == c, out=qc[:, 1:])
+                np.cumsum(qc, axis=1, out=qc)
+                end[:, c] = qc[:, -1] + signed[:, -1] * (axis[:, -1] == c)
+            rel[rows] = end
+            yield lo, hi, rows, starts, length, dirs, q, end
+            r0 = r1
+
+
+def _block_runs(d, nc, lo, hi, seg_forced, k, heading, rows, dtype, rng):
+    """Run starts and direction codes of paths ``rows`` over steps lo + 1..hi.
+
+    Path r's redraws are ``k[r]`` Poisson points in hazard time, placed as
+    normalized exponential spacings so they come out sorted, and the
+    segment's forced steps; ``k`` is ascending.  ``heading[rows]`` gives
+    the direction of the carried run and advances to step hi in place.
     """
     b = k.size
-    width = int(k.max())
+    width = int(k[-1])
     base = nc[max(lo, 1)]
     spacings = rng.standard_exponential((b, width + 1))
     np.cumsum(spacings, axis=1, out=spacings)
@@ -693,7 +644,8 @@ def _visit_block(d, nc, lo, hi, seg_forced, k, rel, heading, rng):
     points = spacings[:, :width]
     points *= scale[:, None]
     points += base
-    steps = np.searchsorted(nc, points)
+    steps = np.searchsorted(nc[lo:hi + 1], points)
+    steps += lo
     np.clip(steps, max(lo, 1) + 1, hi, out=steps)  # rounding at the ends
     del spacings, points
     # row r's points beyond k[r] pad with hi + 1: zero-length runs at the end
@@ -702,38 +654,12 @@ def _visit_block(d, nc, lo, hi, seg_forced, k, rel, heading, rng):
         steps = np.sort(np.concatenate(
             [steps, np.broadcast_to(seg_forced, (b, seg_forced.size))], axis=1), axis=1)
     m = steps.shape[1] + 1  # runs per row: the carried one, then one per redraw
-
-    starts = np.empty((b, m + 1), dtype=rel.dtype)
+    starts = np.empty((b, m + 1), dtype=dtype)
     starts[:, 0] = lo + 1
     starts[:, 1:m] = steps
     starts[:, m] = hi + 1
-    del steps
-    length = np.diff(starts, axis=1)
     dirs = np.empty((b, m), dtype=np.uint8)
-    dirs[:, 0] = heading
+    dirs[:, 0] = heading[rows]
     dirs[:, 1:] = rng.integers(0, 2 * d, (b, m - 1), dtype=np.uint8)
-    heading[:] = dirs[np.arange(b), k + seg_forced.size]
-    axis = dirs >> 1
-    signed = np.where(dirs & 1, -length, length)  # odd codes step backwards
-
-    # q[c]: coordinate c of position - target before each run, an exclusive
-    # per-row cumsum started from the carried offset
-    q = np.empty((d, b, m), dtype=rel.dtype)
-    dist = np.zeros((b, m), dtype=rel.dtype)  # L1 distance to the target
-    for c in range(d):
-        qc = q[c]
-        qc[:, 0] = rel[:, c]
-        np.multiply(signed[:, :-1], axis[:, :-1] == c, out=qc[:, 1:])
-        np.cumsum(qc, axis=1, out=qc)
-        rel[:, c] = qc[:, -1] + signed[:, -1] * (axis[:, -1] == c)
-        dist += np.abs(qc)
-
-    # the run hits iff the target lies ahead on its axis, within its length:
-    # then the L1 distance equals the signed on-axis offset
-    cand = np.flatnonzero(dist <= length)
-    row, col = np.divmod(cand, m)
-    offset = q[axis.ravel()[cand], row, col]
-    ahead = np.where(dirs.ravel()[cand] & 1, offset, -offset)
-    hit = (ahead == dist.ravel()[cand]) & (ahead >= 1)
-    row = row[hit]
-    return row, starts[row, col[hit]] + ahead[hit] - 1
+    heading[rows] = dirs[np.arange(b), k + seg_forced.size]
+    return starts, dirs

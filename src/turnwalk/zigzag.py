@@ -18,6 +18,7 @@ every interval, so where the anchor sits does not matter for the law.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ __all__ = [
     "sample_ppp",
     "label_intervals",
     "position_at",
+    "sample_endpoints",
 ]
 
 
@@ -198,3 +200,57 @@ def position_at(path: ZigzagPath, t: float) -> tuple:
         right = min(iv.boundaries[k + 1], t)
         coords[label.axis] += label.sign * (right - left)
     return tuple(coords)
+
+
+def sample_endpoints(d: int, b: float, epsilon: float, samples: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Z_1 of ``samples`` independent labeled realizations on (epsilon, 1].
+
+    Batched: shape (samples, d).  The label chain is generated forward from
+    the first interval instead of outward from the anchor at t = 1; the
+    chain's transition matrix is symmetric, so labels are uniform on every
+    interval and both constructions induce the same joint law (this
+    equivalence is tested against ``label_intervals``).
+    """
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
+    if b <= 0:
+        raise ValueError(f"b must be positive, got {b}")
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"need 0 < epsilon <= 1, got epsilon={epsilon}")
+    lam = b * math.log(1.0 / epsilon)
+    counts = rng.poisson(lam, samples)
+    total_pts = int(counts.sum())
+    pts = np.exp(rng.uniform(math.log(epsilon), 0.0, total_pts))
+    owner = np.repeat(np.arange(samples), counts)
+    order = np.lexsort((pts, owner))
+    pts = pts[order]
+
+    n_int = counts + 1
+    total_int = int(n_int.sum())
+    int_owner = np.repeat(np.arange(samples), n_int)
+    starts = np.zeros(samples, dtype=np.int64)
+    np.cumsum(n_int[:-1], out=starts[1:])
+    first = np.zeros(total_int, dtype=bool)
+    first[starts] = True
+    last = np.zeros(total_int, dtype=bool)
+    last[starts + counts] = True
+    lefts = np.empty(total_int)
+    lefts[first] = epsilon
+    lefts[~first] = pts
+    rights = np.empty(total_int)
+    rights[last] = 1.0
+    rights[~last] = pts
+    lengths = rights - lefts
+
+    base = rng.integers(0, 2 * d, samples)
+    inc = np.zeros(total_int, dtype=np.int64)
+    inc[~first] = 1 + rng.integers(0, 2 * d - 1, total_pts)
+    csum = np.cumsum(inc)
+    labels = (base[int_owner] + csum - csum[starts][int_owner]) % (2 * d)
+    axis = labels // 2
+    sign = 1 - 2 * (labels % 2)
+
+    coords = np.zeros((samples, d))
+    np.add.at(coords, (int_owner, axis), sign * lengths)
+    return coords

@@ -324,15 +324,33 @@ def test_verify_scaling_zero_rate_exit_2(capsys):
     assert "needs 0 < p <= 1" in err
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_verify_critical_equal_turn_counts_is_a_verdict(capsys):
     # both sampled turn counts are equal, so their s.e. is 0
     rc, out, _ = _run(capsys, ["verify", "critical", "--d", "1", "--a", "1",
                                "--n", "10000", "--delta", "0.1", "--samples", "2",
-                               "--seed", "8"])
+                               "--seed", "3"])
     assert rc in (0, 1)
-    det = json.loads(out)["details"]
+    report = _strict_json(out)
+    det = report["details"]
     assert det["turn_count_se"] == 0.0
     assert rc == (1 if det["turn_count_mean"] != det["poisson_mean"] else 0)
+    # an infinite statistic is written as null, and still rejects
+    assert (report["statistic"] is None) == report["rejected"] == (rc == 1)
+
+
+def test_json_output_is_strict(capsys):
+    report = TestReport(statistic=math.inf, threshold=1.0,
+                        config={"x": math.nan}, details={"v": [1.0, -math.inf]})
+    cli._emit_json(report.to_json(), None)
+    out = _strict_json(capsys.readouterr().out)
+    assert out["statistic"] is None and out["rejected"] is True
+    assert out["config"] == {"x": None} and out["details"] == {"v": [1.0, None]}
 
 
 def test_nonpositive_dimension_exit_2(capsys):

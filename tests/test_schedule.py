@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,46 @@ def test_prefix_probs_matches_p_at():
         arr = s.prefix_probs(40)
         assert arr.shape == (40,)
         assert np.allclose(arr, [s.p_at(n) for n in range(1, 41)])
+
+
+def _old_prefix_probs(s, n):
+    """The earlier expressions, which allocated temporaries next to the output."""
+    out = np.full(n, float(s.prefix_p))
+    if n >= s.n0:
+        if isinstance(s, Critical):
+            out[s.n0 - 1:] = float(s.a) / np.arange(s.n0, n + 1)
+        elif isinstance(s, PowerDecay):
+            out[s.n0 - 1:] = s.c * np.arange(s.n0, n + 1, dtype=float) ** (-s.gamma)
+        else:
+            cycle = np.asarray(s.values, dtype=float)
+            m = n - s.n0 + 1
+            out[s.n0 - 1:] = np.tile(cycle, -(-m // len(cycle)))[:m]
+    return out
+
+
+_IN_PLACE = [Critical(1.0), Critical(2.5, n0=4, prefix_p=0.3), Critical(3.0, n0=50),
+             PowerDecay(1.0, 0.7), PowerDecay(0.8, 0.5, n0=3), PowerDecay(0.3, 0.25),
+             PowerDecay(2.0, 0.99, n0=3, prefix_p=0.5),
+             Periodic((0.2, 0.7, 0.5), n0=2), Periodic((1.0,), n0=9, prefix_p=0.0)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 12_345])
+@pytest.mark.parametrize("s", _IN_PLACE)
+def test_prefix_probs_bit_identical_to_earlier_expression(s, n):
+    assert s.prefix_probs(n).tobytes() == _old_prefix_probs(s, n).tobytes()
+
+
+@pytest.mark.parametrize("s", [Critical(1.0), PowerDecay(1.0, 0.7),
+                               Periodic((0.2, 0.7, 0.5), n0=2)])
+def test_prefix_probs_fills_its_output_in_place(s):
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        s.prefix_probs(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n
 
 
 @given(st.sampled_from([

@@ -1,17 +1,17 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from turnwalk import analytics, verify, zigzag
+from turnwalk import analytics, verify
 from turnwalk.schedule import Constant, Critical
 from turnwalk.verify import (EstimatorResult, TestReport, envelope, ks_critical,
                              ks_one_sample_normal, ks_two_sample, poisson_gof,
                              stream_rng)
-from turnwalk.zigzag import ZigzagPath
 
 
 # --- seeding and sharding ---
@@ -211,24 +211,6 @@ def test_shard_counts_consistent_law():
         assert abs(r.estimate - e) < 4 * r.std_error
 
 
-def test_zigzag_endpoint_sampler_matches_interval_construction():
-    # vectorized batch sampler vs the literal construction, per coordinate
-    rng = stream_rng(17, "zigzag", 0)
-    vec = verify._zigzag_endpoints(2, 0.75, 0.1, 30_000, rng)
-    assert vec.shape == (30_000, 2)
-    scal = np.empty((5_000, 2))
-    rng2 = stream_rng(18, "zigzag", 0)
-    for k in range(scal.shape[0]):
-        ppp = zigzag.sample_ppp(0.75, 0.1, 1.0, rng2)
-        path = ZigzagPath(zigzag.label_intervals(ppp, 2, rng2))
-        scal[k] = path.position_at(1.0)
-    thresh = ks_critical(0.001) * math.sqrt((30_000 + 5_000) / (30_000 * 5_000))
-    for c in range(2):
-        assert ks_two_sample(vec[:, c], scal[:, c]) < thresh
-    norms = np.hypot(vec[:, 0], vec[:, 1]), np.hypot(scal[:, 0], scal[:, 1])
-    assert ks_two_sample(*norms) < thresh
-
-
 def test_scaling_report_structure():
     rep = verify.scaling_limit_test(2, 0.5, 1_000, 3_000, seed=7)
     assert isinstance(rep, TestReport)
@@ -334,6 +316,52 @@ def test_volkov_certification_and_estimates():
     assert 0.0 <= res.joint.estimate <= 1.0
     single_exact, _ = analytics.gambler_pass_once(0.7, 5)
     assert abs(res.single.estimate - single_exact) < 4 * res.single.std_error
+
+
+class _StepRng:
+    """Uniforms that script a +-1 walk: 0 steps up, 0.99 steps down."""
+
+    def __init__(self, ups):
+        self.u = np.where(np.asarray(ups), 0.0, 0.99)
+
+    def random(self, shape):
+        out, self.u = self.u[:shape[1]], self.u[shape[1]:]
+        return out.reshape(shape)
+
+
+@pytest.mark.parametrize("cells", [2, 3, 1 << 21])
+def test_volkov_streams_first_hits_and_fall_backs(monkeypatch, cells):
+    # x = 1, 2, 3, 2, 3, 4, 5: level 3 falls back at step 4, level 4 passes,
+    # and level 5 is first hit on the last step, which counts as passed;
+    # two- and three-step blocks cut the walk around every event
+    monkeypatch.setattr(verify, "_VOLKOV_CELLS", cells)
+    ups = [1, 1, 1, 0, 1, 1, 1]
+    passed = verify._volkov_chunk(0.5, (3, 4, 5), 1, 7, _StepRng(ups))
+    assert [bool(f[0]) for f in passed] == [False, True, True]
+
+
+def test_volkov_matches_gambler_across_time_blocks(monkeypatch):
+    # 64-step blocks: walks cross many block boundaries before and after
+    # their first hits
+    monkeypatch.setattr(verify, "_VOLKOV_CELLS", 2048 * 64)
+    res = verify.volkov_bc_experiment(0.6, 2, 4, 40_000, seed=21)
+    single, _ = analytics.gambler_pass_once(0.6, math.inf)
+    _, joint = analytics.gambler_pass_once(0.6, 2)
+    assert abs(res.single.estimate - single) < 4 * res.single.std_error
+    assert abs(res.joint.estimate - joint) < 4 * res.joint.std_error
+
+
+def test_volkov_memory_bounded():
+    # 16 walks of 2^20 steps: one walks x steps matrix of uniforms alone
+    # would take 134 MB; streamed, memory stays a fixed multiple of
+    # _VOLKOV_CELLS whatever the horizon
+    tracemalloc.start()
+    try:
+        verify.volkov_bc_experiment(0.7, 5, 6, 16, horizon=1 << 20, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * verify._VOLKOV_CELLS
 
 
 def test_volkov_validation():

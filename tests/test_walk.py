@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from turnwalk import oracle, walk
-from turnwalk.schedule import Constant, Critical, Explicit, PowerDecay
+from turnwalk.schedule import Constant, Critical, Explicit, Periodic, PowerDecay
 from turnwalk.walk import Direction, Path, TurnEvent, WalkState
 
 
@@ -144,8 +145,7 @@ def _tv_against_oracle(d, schedule, n, samples, seed, sampler):
     return 0.5 * sum(abs(emp.get(k, 0) / samples - marg.get(k, 0.0)) for k in keys)
 
 
-# schedule mixing a forced step, sub-threshold rates (survival inversion)
-# and high rates (thinning), so every sampler branch gets exercised
+# schedule mixing a forced step with low and high rates
 _MIXED = Explicit((0.3, 0.05, 1.0, 0.02, 0.9, 0.4, 0.07, 0.6))
 
 
@@ -274,11 +274,13 @@ def test_marginal_symmetry():
         assert abs(pos[:, c].mean()) < 4 * se
 
 
-def _exact_visit_law(d, schedule, n, target, horizons):
-    """Law of (count at each horizon, late flag at each horizon).
+def _exact_law(d, schedule, n, observe):
+    """Law of ``observe(positions, headings, redraws)`` over all walks of n steps.
 
     Enumerates every redraw set of steps 2..n and every direction sequence,
-    replaying the walk step by step.
+    replaying the walk step by step; positions[t] and headings[t] are S_t
+    and the direction code of step t (index 0 is the start), and redraws
+    lists the redraw steps, step 1 included.
     """
     probs = [float(schedule.p_at(t)) for t in range(2, n + 1)]
     law = {}
@@ -290,18 +292,25 @@ def _exact_visit_law(d, schedule, n, target, horizons):
         share = weight / (2 * d) ** len(times)
         for dirs in itertools.product(range(2 * d), repeat=len(times)):
             drawn = dict(zip(times, dirs))
-            heading = None
+            headings = [None]
             pos = [0] * d
-            hits = []
+            positions = [tuple(pos)]
             for t in range(1, n + 1):
-                heading = drawn.get(t, heading)
-                pos[heading // 2] += 1 - 2 * (heading % 2)
-                if tuple(pos) == target:
-                    hits.append(t)
-            key = tuple(sum(v <= h for v in hits) for h in horizons) \
-                + tuple(int(any(h // 2 < v <= h for v in hits)) for h in horizons)
+                headings.append(drawn.get(t, headings[-1]))
+                pos[headings[-1] // 2] += 1 - 2 * (headings[-1] % 2)
+                positions.append(tuple(pos))
+            key = observe(positions, headings, times)
             law[key] = law.get(key, 0.0) + share
     return law
+
+
+def _exact_visit_law(d, schedule, n, target, horizons):
+    """Law of (count at each horizon, late flag at each horizon)."""
+    def observe(positions, _headings, _redraws):
+        hits = [t for t in range(1, n + 1) if positions[t] == target]
+        return tuple(sum(v <= h for v in hits) for h in horizons) \
+            + tuple(int(any(h // 2 < v <= h for v in hits)) for h in horizons)
+    return _exact_law(d, schedule, n, observe)
 
 
 def _visit_stats_pvalue(d, schedule, n, target, seed, samples=200_000):
@@ -349,32 +358,41 @@ def test_visit_stats_exact_law_across_blocks(monkeypatch, d, target, name):
     monkeypatch.setattr(walk, "_BLOCK_CELLS", 4)
     schedule = _VISIT_SCHEDULES[name]
     nc, forced = walk._hazard_table(schedule, 7)
-    assert len(walk._segments(nc, forced[(forced >= 2) & (forced <= 7)], 7)) >= 2
+    assert len(walk._segments(nc, forced, 7)) >= 2
     assert _visit_stats_pvalue(d, schedule, 7, target, 121, samples=4_000) > 1e-3
 
 
-class _BackwardsRng:
-    """Unit spacings, and every drawn direction is the last code (backwards)."""
+class _ScriptedRng:
+    """Starting headings forward, every later draw backwards, unit spacings,
+    and the given Poisson counts in every segment."""
+
+    def __init__(self, counts):
+        self.counts = np.asarray(counts)
+        self.started = False
+
+    def integers(self, low, high, size, dtype):
+        code = high - 1 if self.started else 0
+        self.started = True
+        return np.full(size, code, dtype=dtype)
+
+    def poisson(self, lam, size):
+        return self.counts.copy()
 
     def standard_exponential(self, shape):
         return np.ones(shape)
 
-    def integers(self, low, high, size, dtype):
-        return np.full(size, high - 1, dtype=dtype)
-
 
 def test_visit_block_carries_each_rows_own_heading():
-    # row 0 redraws twice, row 1 never: row 1 keeps its heading and runs
-    # straight through the segment, row 0 ends on its last draw
-    n = 10
-    nc, _ = walk._hazard_table(Constant(0.5), n)
-    rel = np.zeros((2, 1), dtype=np.int32)
-    heading = np.zeros(2, dtype=np.uint8)
-    walk._visit_block(1, nc, 0, n, np.array([], dtype=np.int64), np.array([2, 0]),
-                      rel, heading, _BackwardsRng())
-    assert heading.tolist() == [1, 0]
-    assert rel[1, 0] == n
-    assert rel[0, 0] < 0
+    # two segments, (0, 5] and (5, 10].  Path 0 redraws twice in each, path
+    # 1 never: path 1 keeps its heading and runs straight on, path 0 ends on
+    # its last draw.  With unit spacings path 0 redraws at steps 3, 4, 7, 9.
+    end = np.zeros((2, 1), dtype=np.int64)
+    for _lo, hi, rows, *_, block_end in walk._runs(
+            1, Constant(0.5), 10, 2, _ScriptedRng([2, 0]), cuts={5}):
+        if hi == 10:
+            end[rows] = block_end
+    # path 0: +2 on steps 1-2, then back on steps 3-10
+    assert end[:, 0].tolist() == [-6, 10]
 
 
 @settings(max_examples=80, deadline=None)
@@ -383,29 +401,102 @@ def test_visit_block_carries_each_rows_own_heading():
 def test_forced_lookup_matches_reference_loop(values, n):
     schedule = Explicit(tuple(values))
     p = schedule.prefix_probs(n)
-    # reference: next_forced[t] = smallest step j > t with p_j == 1, else n + 1
-    next_forced = np.full(n + 2, n + 1, dtype=np.int64)
-    for j in range(n, 0, -1):
-        next_forced[j - 1] = j if p[j - 1] >= 1.0 else next_forced[j]
+    forced = [j for j in range(2, n + 1) if p[j - 1] >= 1.0]
     with np.errstate(divide="ignore"):
         hazard = -np.log1p(-np.where(p >= 1.0, 0.0, p))
-    nc, forced = walk._hazard_table(schedule, n)
-    steps = np.arange(n + 1)
-    assert np.array_equal(walk._next_forced(forced, steps), next_forced[:n + 1])
+    nc, got = walk._hazard_table(schedule, n)
+    assert got.tolist() == forced
     assert np.array_equal(nc, np.concatenate([[0.0], np.cumsum(hazard)]))
 
 
-def test_event_engine_golden_output():
-    # forced steps 2, 5 and 8, snapshots and a change window; the expected
-    # values were produced by the engine with its earlier per-step
-    # next-forced table, so the sorted-array lookup keeps every draw
-    schedule = Explicit((0.3, 1.0, 0.2, 0.0, 1.0, 0.5, 0.05, 1.0, 0.4))
-    out = walk.sample_positions(2, schedule, 14, 6, _rng(2026), times=(3, 7, 14),
-                                count_changes_in=(4, 11), method="events")
-    assert out.at(3).tolist() == [[-1, 0], [-1, 0], [0, -1], [-1, 0], [-1, -2], [2, -1]]
-    assert out.at(7).tolist() == [[-4, -1], [1, 0], [-1, -2], [-2, 3], [-3, -4], [3, 2]]
-    assert out.at(14).tolist() == [[-2, 0], [-4, 0], [-3, 3], [-6, 0], [0, -4], [2, 4]]
-    assert out.change_counts.tolist() == [4, 2, 3, 3, 2, 3]
+def _exact_positions_law(d, schedule, n, times, window, redraws=False):
+    """Law of (S_t for t in times, direction changes at steps in window),
+    and with ``redraws`` also the number of redraw steps."""
+    lo, hi = window
+
+    def observe(positions, headings, drawn):
+        moved = sum(headings[t] != headings[t - 1] for t in range(lo + 1, hi + 1))
+        return tuple(c for t in times for c in positions[t]) + (moved,) \
+            + ((len(drawn),) if redraws else ())
+    return _exact_law(d, schedule, n, observe)
+
+
+def _path_key(path, times, window):
+    """(S_t for t in times, changes in window, redraw steps) of one path."""
+    dense = path.positions_dense()
+    moves = [tuple(step) for step in np.diff(dense, axis=0)]  # moves[t - 1]: step t
+    moved = sum(moves[t - 1] != moves[t - 2] for t in range(window[0] + 1, window[1] + 1))
+    return tuple(int(c) for t in times for c in dense[t]) + (moved, len(path.events))
+
+
+_POSITION_CASES = [
+    (1, _VISIT_SCHEDULES["forced-and-frozen"], 7, (3, 7), (2, 6)),
+    (2, _VISIT_SCHEDULES["forced-and-frozen"], 6, (2, 6), (1, 6)),
+    (2, _VISIT_SCHEDULES["const-half"], 6, (4, 6), (3, 5)),
+    (1, _VISIT_SCHEDULES["critical"], 7, (5, 7), (1, 7)),
+    (2, _VISIT_SCHEDULES["power"], 5, (1, 5), (2, 4)),
+]
+
+
+@pytest.mark.parametrize("cells", [None, 4])
+@pytest.mark.parametrize("case", range(len(_POSITION_CASES)))
+def test_event_positions_match_exact_law(monkeypatch, case, cells):
+    # snapshots and windowed change counts jointly; with four-cell blocks
+    # paths cross many segment and block boundaries
+    d, schedule, n, times, window = _POSITION_CASES[case]
+    if cells:
+        monkeypatch.setattr(walk, "_BLOCK_CELLS", cells)
+    samples = 4_000 if cells else 200_000
+    out = walk.sample_positions(d, schedule, n, samples, _rng(131 + case), times=times,
+                                count_changes_in=window, method="events")
+    points = np.concatenate([out.at(t) for t in times]
+                            + [out.change_counts[:, None]], axis=1)
+    law = _exact_positions_law(d, schedule, n, times, window)
+    assert _chi_square_pvalue(points, law) > 1e-3
+
+
+@pytest.mark.parametrize("case, cells", [(0, None), (1, None), (0, 4), (1, 4)])
+def test_simulate_events_matches_exact_law(monkeypatch, case, cells):
+    # the events are the distinct redraw steps, so their count has the law
+    # of the redraw set; four-cell blocks give the paths many segments
+    d, schedule, n, times, window = _POSITION_CASES[case]
+    if cells:
+        monkeypatch.setattr(walk, "_BLOCK_CELLS", cells)
+    rng = _rng(141 + case)
+    keys = [_path_key(walk.simulate_events(d, schedule, n, rng), times, window)
+            for _ in range(10_000)]
+    law = _exact_positions_law(d, schedule, n, times, window, redraws=True)
+    assert _chi_square_pvalue(np.array(keys), law) > 1e-3
+
+
+_SCHEDULES = st.one_of(
+    st.builds(Constant, st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+    st.builds(lambda a, extra: Critical(a, n0=math.ceil(a) + extra),
+              st.sampled_from([0.5, 1.0, 2.5]), st.integers(0, 3)),
+    st.builds(PowerDecay, st.sampled_from([0.3, 1.0]), st.sampled_from([0.2, 0.7]),
+              st.integers(1, 4), st.sampled_from([0.0, 1.0])),
+    st.builds(Periodic, st.lists(st.sampled_from([0.0, 0.2, 1.0]), min_size=1,
+                                 max_size=4), st.integers(1, 5)),
+    st.builds(Explicit, st.lists(st.sampled_from([0.0, 0.1, 0.9, 1.0]), min_size=1,
+                                 max_size=8)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SCHEDULES, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=60), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([4, walk._BLOCK_CELLS]))
+def test_simulate_events_times_increase_from_one(schedule, d, n, seed, cells):
+    with mock.patch.object(walk, "_BLOCK_CELLS", cells):
+        path = walk.simulate_events(d, schedule, n, _rng(seed))
+    times = [ev.update_time for ev in path.events]
+    assert times[0] == 1
+    assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
+    assert times[-1] <= n
+    p = schedule.prefix_probs(n)
+    # forced steps always redraw, frozen ones never do
+    assert {t for t in range(2, n + 1) if p[t - 1] >= 1.0} <= set(times)
+    assert not {t for t in times if t > 1 and p[t - 1] == 0.0}
 
 
 @pytest.mark.parametrize("n, samples", [(4_000_000, 1), (100_000, 2_000)])

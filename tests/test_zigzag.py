@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from turnwalk import zigzag
-from turnwalk.verify import poisson_gof
+from turnwalk import verify, zigzag
+from turnwalk.verify import ks_critical, ks_two_sample, poisson_gof
 from turnwalk.walk import Direction
 from turnwalk.zigzag import LabeledIntervals, PPPRealization, ZigzagPath
 
@@ -247,3 +247,30 @@ def test_ppp_realization_validation():
         PPPRealization(points=(0.5, 0.5), epsilon=0.1, horizon=1.0, intensity_b=1.0)
     with pytest.raises(ValueError):
         PPPRealization(points=(0.05,), epsilon=0.1, horizon=1.0, intensity_b=1.0)
+
+
+def test_zigzag_endpoint_sampler_matches_interval_construction():
+    # vectorized batch sampler vs the literal construction, per coordinate
+    rng = verify.stream_rng(17, "zigzag", 0)
+    vec = zigzag.sample_endpoints(2, 0.75, 0.1, 30_000, rng)
+    assert vec.shape == (30_000, 2)
+    scal = np.empty((5_000, 2))
+    rng2 = verify.stream_rng(18, "zigzag", 0)
+    for k in range(scal.shape[0]):
+        ppp = zigzag.sample_ppp(0.75, 0.1, 1.0, rng2)
+        path = ZigzagPath(zigzag.label_intervals(ppp, 2, rng2))
+        scal[k] = path.position_at(1.0)
+    thresh = ks_critical(0.001) * math.sqrt((30_000 + 5_000) / (30_000 * 5_000))
+    for c in range(2):
+        assert ks_two_sample(vec[:, c], scal[:, c]) < thresh
+    norms = np.hypot(vec[:, 0], vec[:, 1]), np.hypot(scal[:, 0], scal[:, 1])
+    assert ks_two_sample(*norms) < thresh
+
+
+def test_sample_endpoints_validation():
+    with pytest.raises(ValueError):
+        zigzag.sample_endpoints(0, 0.75, 0.1, 10, _rng())
+    with pytest.raises(ValueError):
+        zigzag.sample_endpoints(2, 0.0, 0.1, 10, _rng())
+    with pytest.raises(ValueError):
+        zigzag.sample_endpoints(2, 0.75, 1.5, 10, _rng())
