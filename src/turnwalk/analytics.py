@@ -139,12 +139,13 @@ def ld_bound(p: float, a: float, d: int) -> float:
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if d == 1:
-        if a < 1:
-            raise ValueError(f"d=1 bound requires a >= 1, got a={a}")
+        if not (math.isfinite(a) and a >= 1):
+            raise ValueError(f"d=1 bound requires finite a >= 1, got a={a}")
         return min(1.0, 2.0 * math.exp(-p * p * a / 5.0))
     root = math.sqrt(d)
-    if a < root:
-        raise ValueError(f"d={d} bound requires a >= sqrt(d) = {root:.6g}, got a={a}")
+    if not (math.isfinite(a) and a >= root):
+        raise ValueError(
+            f"d={d} bound requires finite a >= sqrt(d) = {root:.6g}, got a={a}")
     return min(1.0, d * math.exp(-p * p * (a / root) / 5.0))
 
 
@@ -161,8 +162,8 @@ class LyapunovConfig:
     def __post_init__(self):
         if not 0 < self.p <= 1:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
-        if self.a < 1:
-            raise ValueError(f"a must be >= 1, got {self.a}")
+        if not (math.isfinite(self.a) and self.a >= 1):
+            raise ValueError(f"a must be finite and >= 1, got {self.a}")
         if not 0 < self.truncation_tail <= 1e-6:
             raise ValueError(
                 f"truncation_tail must be in (0, 1e-6], got {self.truncation_tail}")

@@ -10,6 +10,10 @@ Subcommands:
 * ``moments``    closed-form quantities (moments, bounds, drifts), as JSON
 * ``verify``     statistical experiments, as JSON reports
 
+Each verify experiment is one row of the ``_EXPERIMENTS`` table (flags,
+default ``--samples``, handler), which builds its parser and drives its
+dispatch; ``verify.envelope`` judges the bound and 4-s.e. verdicts.
+
 Artifacts are self-describing: CSV starts with a ``# config {...}`` comment
 line and JSON embeds a ``config`` object, so every file names the exact run
 that produced it.  Identical argv produce byte-identical output.  JSON is
@@ -76,6 +80,7 @@ def _config_line(cfg: dict) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    verify._check_samples(args.samples)
     sched = args.schedule
     cfg = {"subcommand": "simulate", "d": args.d, "schedule": sched.to_json(),
            "n": args.n, "samples": args.samples, "seed": args.seed,
@@ -109,6 +114,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_zigzag(args) -> int:
     if (args.b is None) == (args.a is None):
         raise ValueError("give exactly one of --b or --a")
+    if args.grid is not None:
+        verify._check_samples(args.grid, 1, "grid")
     b = args.b if args.b is not None else zigzag.b_from_a(args.a, args.d)
     rng = verify.stream_rng(args.seed, "zigzag", 0)
     ppp = zigzag.sample_ppp(b, args.epsilon, args.horizon, rng)
@@ -193,93 +200,92 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-def _within(estimate: float, expected: float, se: float) -> bool:
-    return abs(estimate - expected) <= 4.0 * se
+# verify experiments: each handler returns (report, passed) and looks its op up
+# in ``verify`` at call time, so a rebound module attribute is the one that runs
+
+
+def _verify_tail(args, common):
+    report = verify.tail_report(args.d, args.p, args.n, args.a, **common)
+    return report, report["verdict"] == "holds"
+
+
+def _verify_covariance(args, common):
+    result = verify.estimate_covariance(args.schedule, args.i, args.j, **common)
+    cfg = {"schedule": args.schedule.to_json(), "i": args.i, "j": args.j, **common}
+    expected = analytics.correlation_e(args.schedule, args.i, args.j)
+    report = verify.envelope("covariance", cfg, result, expected=expected)
+    return report, report["within_4se"]
+
+
+def _verify_scaling(args, common):
+    report = verify.scaling_limit_test(args.d, args.p, args.n, **common)
+    return report.to_json(), not report.rejected
+
+
+def _verify_critical(args, common):
+    report = verify.critical_limit_test(args.d, args.a, args.n, delta=args.delta,
+                                        zigzag_samples=args.zigzag_samples, **common)
+    return report.to_json(), not report.rejected
+
+
+def _verify_recurrence(args, common):
+    points = verify.recurrence_experiment(args.d, args.schedule, args.horizons,
+                                          **common)
+    cfg = {"d": args.d, "schedule": args.schedule.to_json(),
+           "horizons": args.horizons, **common}
+    return {"op": "recurrence", "config": cfg,
+            "points": [pt.to_json() for pt in points]}, True
+
+
+def _verify_volkov(args, common):
+    result = verify.volkov_bc_experiment(args.p, args.i, args.j,
+                                         horizon=args.horizon, **common)
+    exp_single, _ = analytics.gambler_pass_once(args.p, math.inf)
+    _, exp_joint = analytics.gambler_pass_once(args.p, args.j - args.i)
+    cfg = {"p": args.p, "i": args.i, "j": args.j, **common,
+           "horizon": result.horizon, "certified_error": result.certified_error}
+    single = verify.envelope("volkov_single", cfg, result.single, expected=exp_single)
+    joint = verify.envelope("volkov_joint", cfg, result.joint, expected=exp_joint)
+    return ({"op": "volkov", "config": cfg, "single": single, "joint": joint},
+            single["within_4se"] and joint["within_4se"])
+
+
+def _verify_moment4(args, common):
+    result = verify.moment4_experiment(args.p, args.n, **common)
+    cfg = {"p": args.p, "n": args.n, **common}
+    expected = analytics.fourth_moment_L(args.p, args.n)
+    report = verify.envelope("moment4", cfg, result, expected=expected)
+    return report, report["within_4se"]
+
+
+# name -> (required flags, optional flags, default --samples, handler)
+_EXPERIMENTS = {
+    "tail": (("d", "p", "n", "a"), (), 100_000, _verify_tail),
+    "covariance": (("schedule", "i", "j"), (), 1_000_000, _verify_covariance),
+    "scaling": (("d", "p", "n"), (), 10_000, _verify_scaling),
+    "critical": (("d", "a", "n", "delta"), ("zigzag_samples",), 100_000,
+                 _verify_critical),
+    "recurrence": (("d", "schedule", "horizons"), (), 10_000, _verify_recurrence),
+    "volkov": (("p", "i", "j"), ("horizon",), 100_000, _verify_volkov),
+    "moment4": (("p", "n"), (), 100_000, _verify_moment4),
+}
+
+# the type of every flag the table names, and the one help text among them
+_VERIFY_TYPES = {"d": int, "p": float, "n": int, "a": float, "i": int, "j": int,
+                 "delta": float, "schedule": _schedule_arg, "zigzag_samples": int,
+                 "horizon": int, "horizons": _int_list}
+_VERIFY_HELP = {"horizons": "comma-separated, e.g. '1000,10000,100000'"}
 
 
 def _cmd_verify(args) -> int:
-    exp = args.experiment
     common = {"samples": args.samples, "seed": args.seed, "shards": args.shards}
-    if exp == "tail":
-        report = verify.tail_report(args.d, args.p, args.n, args.a, **common)
-        _emit_json(report, args.out)
-        return 0 if report["verdict"] == "holds" else 1
-
-    if exp == "covariance":
-        result = verify.estimate_covariance(args.schedule, args.i, args.j, **common)
-        cfg = {"schedule": args.schedule.to_json(), "i": args.i, "j": args.j,
-               **common}
-        report = verify.envelope("covariance", cfg, result)
-        report["expected"] = analytics.correlation_e(args.schedule, args.i, args.j)
-        report["within_4se"] = _within(result.estimate, report["expected"],
-                                       result.std_error)
-        _emit_json(report, args.out)
-        return 0 if report["within_4se"] else 1
-
-    if exp == "scaling":
-        report = verify.scaling_limit_test(args.d, args.p, args.n, **common)
-        _emit_json(report.to_json(), args.out)
-        return 1 if report.rejected else 0
-
-    if exp == "critical":
-        report = verify.critical_limit_test(args.d, args.a, args.n,
-                                            args.samples, args.delta,
-                                            seed=args.seed, shards=args.shards,
-                                            zigzag_samples=args.zigzag_samples)
-        _emit_json(report.to_json(), args.out)
-        return 1 if report.rejected else 0
-
-    if exp == "recurrence":
-        points = verify.recurrence_experiment(args.d, args.schedule,
-                                              args.horizons, **common)
-        cfg = {"d": args.d, "schedule": args.schedule.to_json(),
-               "horizons": args.horizons, **common}
-        _emit_json({"op": "recurrence", "config": cfg,
-                    "points": [pt.to_json() for pt in points]}, args.out)
-        return 0
-
-    if exp == "volkov":
-        result = verify.volkov_bc_experiment(args.p, args.i, args.j,
-                                             horizon=args.horizon, **common)
-        exp_single, _ = analytics.gambler_pass_once(args.p, math.inf)
-        _, exp_joint = analytics.gambler_pass_once(args.p, args.j - args.i)
-        cfg = {"p": args.p, "i": args.i, "j": args.j, **common,
-               "horizon": result.horizon,
-               "certified_error": result.certified_error}
-        single = verify.envelope("volkov_single", cfg, result.single)
-        joint = verify.envelope("volkov_joint", cfg, result.joint)
-        single["expected"] = exp_single
-        joint["expected"] = exp_joint
-        single["within_4se"] = _within(result.single.estimate, exp_single,
-                                       result.single.std_error)
-        joint["within_4se"] = _within(result.joint.estimate, exp_joint,
-                                      result.joint.std_error)
-        _emit_json({"op": "volkov", "config": cfg, "single": single,
-                    "joint": joint}, args.out)
-        return 0 if single["within_4se"] and joint["within_4se"] else 1
-
-    if exp == "moment4":
-        result = verify.moment4_experiment(args.p, args.n, **common)
-        cfg = {"p": args.p, "n": args.n, **common}
-        report = verify.envelope("moment4", cfg, result)
-        report["expected"] = float(analytics.fourth_moment_L(args.p, args.n))
-        report["within_4se"] = _within(result.estimate, report["expected"],
-                                       result.std_error)
-        _emit_json(report, args.out)
-        return 0 if report["within_4se"] else 1
-
-    raise ValueError(f"unknown experiment {exp!r}")  # pragma: no cover
+    report, passed = _EXPERIMENTS[args.experiment][-1](args, common)
+    _emit_json(report, args.out)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_common(sub, *, samples: int) -> None:
-    sub.add_argument("--samples", type=int, default=samples)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--shards", type=int, default=1)
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -348,52 +354,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify", help="statistical experiments as JSON")
     exps = ver.add_subparsers(dest="experiment", required=True)
 
-    tail = exps.add_parser("tail")
-    tail.add_argument("--d", type=int, required=True)
-    tail.add_argument("--p", type=float, required=True)
-    tail.add_argument("--n", type=int, required=True)
-    tail.add_argument("--a", type=float, required=True)
-    _add_common(tail, samples=100_000)
-
-    cov = exps.add_parser("covariance")
-    cov.add_argument("--schedule", type=_schedule_arg, required=True)
-    cov.add_argument("--i", type=int, required=True)
-    cov.add_argument("--j", type=int, required=True)
-    _add_common(cov, samples=1_000_000)
-
-    sca = exps.add_parser("scaling")
-    sca.add_argument("--d", type=int, required=True)
-    sca.add_argument("--p", type=float, required=True)
-    sca.add_argument("--n", type=int, required=True)
-    _add_common(sca, samples=10_000)
-
-    cri = exps.add_parser("critical")
-    cri.add_argument("--d", type=int, required=True)
-    cri.add_argument("--a", type=float, required=True)
-    cri.add_argument("--n", type=int, required=True)
-    cri.add_argument("--delta", type=float, required=True)
-    cri.add_argument("--zigzag-samples", type=int, default=None)
-    _add_common(cri, samples=100_000)
-
-    rec = exps.add_parser("recurrence")
-    rec.add_argument("--d", type=int, required=True)
-    rec.add_argument("--schedule", type=_schedule_arg, required=True)
-    rec.add_argument("--horizons", type=_int_list, required=True,
-                     help="comma-separated, e.g. '1000,10000,100000'")
-    _add_common(rec, samples=10_000)
-
-    vol = exps.add_parser("volkov")
-    vol.add_argument("--p", type=float, required=True)
-    vol.add_argument("--i", type=int, required=True)
-    vol.add_argument("--j", type=int, required=True)
-    vol.add_argument("--horizon", type=int, default=None)
-    _add_common(vol, samples=100_000)
-
-    mo4 = exps.add_parser("moment4")
-    mo4.add_argument("--p", type=float, required=True)
-    mo4.add_argument("--n", type=int, required=True)
-    _add_common(mo4, samples=100_000)
-
+    for name, (required, optional, samples, _handler) in _EXPERIMENTS.items():
+        exp = exps.add_parser(name)
+        for flag in required + optional:
+            exp.add_argument("--" + flag.replace("_", "-"), type=_VERIFY_TYPES[flag],
+                             required=flag in required, help=_VERIFY_HELP.get(flag))
+        exp.add_argument("--samples", type=int, default=samples)
+        exp.add_argument("--seed", type=int, default=0)
+        exp.add_argument("--shards", type=int, default=1)
+        exp.add_argument("--out", default=None, help="output path (default stdout)")
     ver.set_defaults(func=_cmd_verify)
     return parser
 

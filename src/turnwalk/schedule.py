@@ -118,8 +118,8 @@ class Critical(Schedule):
     kind = "Critical"
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError(f"a must be positive, got {self.a!r}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"a must be positive and finite, got {self.a!r}")
         if not isinstance(self.n0, int) or self.n0 < 1:
             raise ValueError(f"n0 must be an integer >= 1, got {self.n0!r}")
         if self.a > self.n0:
@@ -160,8 +160,8 @@ class PowerDecay(Schedule):
     kind = "PowerDecay"
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c!r}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be positive and finite, got {self.c!r}")
         if not (0 < self.gamma < 1):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma!r}")
         if not isinstance(self.n0, int) or self.n0 < 1:

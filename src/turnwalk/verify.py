@@ -13,10 +13,12 @@ may run in any order, and aggregate through sums, so identical
 
 Each bound comparison reports estimate, standard error and bound; the bound
 "holds" when estimate - 4 se <= bound, one-sided, because the inequalities
-being checked are one-sided.  Statistical tests report a normalized
-statistic: the maximum over their sub-checks of (observed / allowed), so
-the rejection rule is uniformly "statistic > 1".  A NaN sub-check makes the
-statistic NaN, and a statistic that is not a number is rejected.
+being checked are one-sided.  A comparison with an exact value is
+two-sided: ``within_4se`` when |estimate - expected| <= 4 se.  Statistical
+tests report a normalized statistic: the maximum over their sub-checks of
+(observed / allowed), so the rejection rule is uniformly "statistic > 1".
+A NaN sub-check makes the statistic NaN, and a statistic that is not a
+number is rejected.
 """
 
 from __future__ import annotations
@@ -79,6 +81,13 @@ def _shard_sizes(samples: int, shards: int) -> list:
         raise ValueError("shards must be >= 1")
     base, extra = divmod(samples, shards)
     return [base + (1 if s < extra else 0) for s in range(shards)]
+
+
+def _sharded(samples: int, shards: int, seed: int, stream: str):
+    """Yield (size, rng) for each nonempty shard of an operation's stream."""
+    for s, size in enumerate(_shard_sizes(samples, shards)):
+        if size:
+            yield size, stream_rng(seed, stream, s)
 
 
 def _check_samples(samples: int, minimum: int = 1, name: str = "samples") -> None:
@@ -177,11 +186,13 @@ def _proportion_estimator(hits: int, n: int, seed: int, shards: int) -> Estimato
 
 
 def envelope(op: str, config: dict, result: EstimatorResult,
-             bound: float | None = None) -> dict:
+             bound: float | None = None, expected: float | None = None) -> dict:
     """Self-describing JSON object for one estimator run.
 
     When a bound is supplied, the verdict is "holds" iff
-    estimate - 4 std_error <= bound (one-sided check).
+    estimate - 4 std_error <= bound (one-sided check).  When an exact value
+    is supplied, ``within_4se`` is true iff
+    |estimate - expected| <= 4 std_error (two-sided check).
     """
     out = {"op": op, "config": _builtin(config)}
     out.update(result.to_json())
@@ -189,6 +200,9 @@ def envelope(op: str, config: dict, result: EstimatorResult,
         out["bound"] = float(bound)
         out["verdict"] = ("holds" if result.estimate - 4.0 * result.std_error <= bound
                           else "violated")
+    if expected is not None:
+        out["expected"] = float(expected)
+        out["within_4se"] = abs(result.estimate - expected) <= 4.0 * result.std_error
     return out
 
 
@@ -256,15 +270,13 @@ def poisson_gof(counts: np.ndarray, lam: float, alpha: float = 0.01,
 def estimate_tail(d: int, p: float, n: int, a: float, samples: int,
                   seed: int = 0, shards: int = 1) -> EstimatorResult:
     """Empirical P(|S_n| > a sqrt(n)), Euclidean norm, binomial s.e."""
-    if a < (1.0 if d == 1 else math.sqrt(d)):
-        raise ValueError(f"a = {a} is below the bound's validity threshold for d = {d}")
+    if not (math.isfinite(a) and a >= (1.0 if d == 1 else math.sqrt(d))):
+        raise ValueError(f"a = {a} is not finite or is below the bound's validity "
+                         f"threshold for d = {d}")
     _check_samples(samples)
     cutoff = a * a * n
     hits = 0
-    for s, size in enumerate(_shard_sizes(samples, shards)):
-        if size == 0:
-            continue
-        rng = stream_rng(seed, "tail", s)
+    for size, rng in _sharded(samples, shards, seed, "tail"):
         pos = walk.sample_positions(d, Constant(p), n, size, rng).at(n)
         r2 = np.sum(pos.astype(float) ** 2, axis=1)
         hits += int(np.count_nonzero(r2 > cutoff))
@@ -289,10 +301,7 @@ def estimate_covariance(schedule: Schedule, i: int, j: int, samples: int,
     _check_samples(samples)
     probs = schedule.prefix_probs(j)
     total = 0
-    for s, size in enumerate(_shard_sizes(samples, shards)):
-        if size == 0:
-            continue
-        rng = stream_rng(seed, "covariance", s)
+    for size, rng in _sharded(samples, shards, seed, "covariance"):
         sign = (rng.integers(0, 2, size) * 2 - 1).astype(np.int8)
         yi = sign.copy()
         for k in range(2, j + 1):
@@ -303,12 +312,8 @@ def estimate_covariance(schedule: Schedule, i: int, j: int, samples: int,
             if k == i:
                 yi = sign.copy()
         total += int((yi.astype(np.int64) * sign).sum())
-    # products are +-1, so the second moment is exactly 1
-    mean = total / samples
-    var = max(0.0, (samples - samples * mean * mean) / (samples - 1)) if samples > 1 else 0.0
-    se = math.sqrt(var / samples)
-    return EstimatorResult(mean, se, samples, (mean - 1.96 * se, mean + 1.96 * se),
-                           seed, shards)
+    # products are +-1, so the sum of their squares is the sample count
+    return _mean_estimator(total, samples, samples, seed, shards)
 
 
 def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
@@ -330,10 +335,7 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
         raise ValueError(f"scaling_limit_test needs 0 < p <= 1, got p = {p}")
     _check_samples(samples, 2)
     chunks = []
-    for s, size in enumerate(_shard_sizes(samples, shards)):
-        if size == 0:
-            continue
-        rng = stream_rng(seed, "scaling", s)
+    for size, rng in _sharded(samples, shards, seed, "scaling"):
         chunks.append(walk.sample_positions(d, Constant(p), n, size, rng).at(n))
     pos = np.concatenate(chunks, axis=0).astype(float)
     factor = math.sqrt(d * p / (2.0 - p)) / math.sqrt(n)
@@ -399,10 +401,7 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     m = int(delta * n)
 
     counts_parts, sm_parts, sn_parts = [], [], []
-    for s, size in enumerate(_shard_sizes(samples, shards)):
-        if size == 0:
-            continue
-        rng = stream_rng(seed, "critical_walk", s)
+    for size, rng in _sharded(samples, shards, seed, "critical_walk"):
         out = walk.sample_positions(d, schedule, n, size, rng, times=(m, n),
                                     count_changes_in=(m, n), method="events")
         counts_parts.append(out.change_counts)
@@ -414,10 +413,7 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     windowed = (s_n - s_m) / n
 
     z_parts = []
-    for s, size in enumerate(_shard_sizes(zigzag_samples, shards)):
-        if size == 0:
-            continue
-        rng = stream_rng(seed, "critical_zigzag", s)
+    for size, rng in _sharded(zigzag_samples, shards, seed, "critical_zigzag"):
         z_parts.append(sample_endpoints(d, b, delta, size, rng))
     zz = np.concatenate(z_parts, axis=0)
 
@@ -497,10 +493,7 @@ def recurrence_experiment(d: int, schedule: Schedule, horizons, samples: int,
     count_parts = {h: [] for h in positive}
     late_parts = {h: [] for h in positive}
     if positive:
-        for s, size in enumerate(_shard_sizes(samples, shards)):
-            if size == 0:
-                continue
-            rng = stream_rng(seed, "recurrence", s)
+        for size, rng in _sharded(samples, shards, seed, "recurrence"):
             stats = walk.sample_visit_stats(d, schedule, positive[-1], size, rng,
                                             horizons=positive)
             for h in positive:
@@ -608,8 +601,7 @@ def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
     hits_i = 0
     hits_ij = 0
     chunk = 2048
-    for s, size in enumerate(_shard_sizes(samples, shards)):
-        rng = stream_rng(seed, "volkov", s)
+    for size, rng in _sharded(samples, shards, seed, "volkov"):
         for done in range(0, size, chunk):
             passed = _volkov_chunk(p, (i, j), min(chunk, size - done), horizon, rng)
             hits_i += int(passed[0].sum())
@@ -628,10 +620,7 @@ def moment4_experiment(p: float, n: int, samples: int, seed: int = 0,
     _check_samples(samples)
     sum_x = 0.0
     sum_x2 = 0.0
-    for s, size in enumerate(_shard_sizes(samples, shards)):
-        if size == 0:
-            continue
-        rng = stream_rng(seed, "moment4", s)
+    for size, rng in _sharded(samples, shards, seed, "moment4"):
         pos = walk.sample_positions(1, Constant(p), n, size, rng).at(n)
         x = pos[:, 0].astype(float) ** 4
         sum_x += float(x.sum())

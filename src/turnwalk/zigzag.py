@@ -41,8 +41,8 @@ __all__ = [
 def b_from_a(a: float, d: int) -> float:
     """Zigzag intensity matching the critical schedule p_n = a/n: only a
     fraction (2d-1)/2d of direction redraws actually change the direction."""
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"a must be positive and finite, got {a}")
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
     return (2 * d - 1) * a / (2 * d)
@@ -141,8 +141,8 @@ def sample_ppp(b: float, epsilon: float | None, T: float,
     """
     if epsilon is None:
         epsilon = 1e-4 * T
-    if b <= 0:
-        raise ValueError(f"b must be positive, got {b}")
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"b must be positive and finite, got {b}")
     if not 0 < epsilon <= T:
         raise ValueError(f"need 0 < epsilon <= T, got epsilon={epsilon}, T={T}")
     lam = b * (np.log(T) - np.log(epsilon))
@@ -214,8 +214,8 @@ def sample_endpoints(d: int, b: float, epsilon: float, samples: int,
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    if b <= 0:
-        raise ValueError(f"b must be positive, got {b}")
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError(f"b must be positive and finite, got {b}")
     if not 0 < epsilon <= 1:
         raise ValueError(f"need 0 < epsilon <= 1, got epsilon={epsilon}")
     lam = b * math.log(1.0 / epsilon)

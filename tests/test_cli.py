@@ -1,12 +1,14 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from turnwalk import analytics, cli, verify
-from turnwalk.verify import TestReport
+from turnwalk.verify import EstimatorResult, TestReport, VolkovResult
 
 CONST_HALF = '{"kind": "Constant", "p": 0.5}'
 
@@ -159,6 +161,20 @@ def test_simulate_schedule_from_file(tmp_path, capsys):
     assert blob["value"] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--d", "2", "--schedule", CONST_HALF, "--n", "8", "--samples", "0"],
+    ["simulate", "--d", "2", "--schedule", CONST_HALF, "--n", "8", "--samples", "-1"],
+    ["zigzag", "--d", "2", "--b", "1.5", "--grid", "0"],
+    ["zigzag", "--d", "2", "--b", "1.5", "--grid", "-2"],
+])
+def test_degenerate_counts_exit_2(capsys, argv):
+    # a header-only CSV is not a result
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be >= 1" in err
+
+
 def test_simulate_bad_schedule_exit_2(capsys):
     rc, _, err = _run(capsys, ["simulate", "--d", "2", "--schedule",
                                '{"kind": "Mystery"}', "--n", "5"])
@@ -285,6 +301,49 @@ def test_verify_rejected_report_exit_1(capsys, monkeypatch):
     assert json.loads(out)["rejected"] is True
 
 
+def _estimate(value):
+    return EstimatorResult(value, 0.01, 100, (value - 0.02, value + 0.02), 0, 1)
+
+
+def test_verify_covariance_disagreement_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "estimate_covariance",
+                        lambda *args, **kwargs: _estimate(0.0))  # expected 0.25
+    rc, out, _ = _run(capsys, ["verify", "covariance", "--schedule", CONST_HALF,
+                               "--i", "2", "--j", "4", "--samples", "10"])
+    assert rc == 1
+    blob = json.loads(out)
+    assert blob["expected"] == pytest.approx(0.25) and blob["within_4se"] is False
+
+
+def test_verify_moment4_disagreement_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "moment4_experiment",
+                        lambda *args, **kwargs: _estimate(0.0))
+    rc, out, _ = _run(capsys, ["verify", "moment4", "--p", "0.5", "--n", "10",
+                               "--samples", "10"])
+    assert rc == 1
+    blob = json.loads(out)
+    assert blob["expected"] == analytics.fourth_moment_L(0.5, 10)
+    assert blob["within_4se"] is False
+
+
+@pytest.mark.parametrize("bad", ["single", "joint"])
+def test_verify_volkov_one_half_disagrees_exit_1(capsys, monkeypatch, bad):
+    single, _ = analytics.gambler_pass_once(0.7, math.inf)
+    _, joint = analytics.gambler_pass_once(0.7, 1)
+    halves = {"single": single, "joint": joint}
+    fake = {k: _estimate(v + (0.5 if k == bad else 0.0)) for k, v in halves.items()}
+    monkeypatch.setattr(verify, "volkov_bc_experiment",
+                        lambda *args, **kwargs: VolkovResult(**fake, horizon=512,
+                                                             certified_error=0.0))
+    rc, out, _ = _run(capsys, ["verify", "volkov", "--p", "0.7", "--i", "2",
+                               "--j", "3", "--samples", "10"])
+    assert rc == 1
+    blob = json.loads(out)
+    for half, expected in halves.items():
+        assert blob[half]["expected"] == expected
+        assert blob[half]["within_4se"] is (half != bad)
+
+
 _VERIFY_ARGS = {
     "tail": ["--d", "2", "--p", "0.5", "--n", "100", "--a", "2"],
     "covariance": ["--schedule", CONST_HALF, "--i", "2", "--j", "4"],
@@ -303,6 +362,38 @@ def test_verify_zero_samples_exit_2(capsys, exp):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "samples must be >= " in err
+
+
+def test_verify_args_name_every_required_flag():
+    for exp, (required, *_rest) in cli._EXPERIMENTS.items():
+        flags = _VERIFY_ARGS[exp][::2]
+        assert flags == ["--" + f.replace("_", "-") for f in required]
+
+
+@pytest.mark.parametrize("exp,k", [
+    pytest.param(exp, k, id=f"{exp}{args[k]}")
+    for exp, args in sorted(_VERIFY_ARGS.items()) for k in range(0, len(args), 2)])
+def test_verify_missing_required_flag_exit_2(capsys, exp, k):
+    args = _VERIFY_ARGS[exp]
+    rc, out, err = _run(capsys, ["verify", exp, *args[:k], *args[k + 2:],
+                                 "--samples", "10"])
+    assert rc == 2
+    assert out == ""
+    assert "the following arguments are required: " + args[k] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "tail", "--d", "2", "--p", "0.5", "--n", "10", "--a", "nan",
+     "--samples", "10"],
+    ["verify", "critical", "--d", "2", "--a", "inf", "--n", "10000", "--delta", "0.1",
+     "--samples", "10"],
+])
+def test_verify_non_finite_rate_exit_2(capsys, argv):
+    # NaN used to pass validation and read as "holds"; inf used to crash
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
 
 
 @pytest.mark.parametrize("exp", ["scaling", "critical"])
@@ -373,6 +464,32 @@ def test_unexpected_exception_exit_3(capsys, monkeypatch):
 
 
 # --- parser-level errors ---
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands, in_block = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("turnwalk "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    # parse only: README and the parser cannot drift apart
+    commands = _readme_commands()
+    for argv in commands:
+        try:
+            cli._build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: turnwalk {shlex.join(argv)}"
+                        f"\n{capsys.readouterr().err}")
+    shown = {argv[1] for argv in commands if argv[0] == "verify"}
+    assert shown == set(cli._EXPERIMENTS)
+    assert {argv[0] for argv in commands} == {
+        "simulate", "zigzag", "classify", "moments", "verify"}
+
 
 def test_unknown_subcommand_exit_2(capsys):
     assert cli.run(["frobnicate"]) == 2

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from turnwalk import analytics, verify
-from turnwalk.schedule import Constant, Critical
+from turnwalk import analytics, verify, zigzag
+from turnwalk.schedule import Constant, Critical, PowerDecay
 from turnwalk.verify import (EstimatorResult, TestReport, envelope, ks_critical,
                              ks_one_sample_normal, ks_two_sample, poisson_gof,
                              stream_rng)
@@ -51,6 +51,13 @@ def test_shard_sizes_validation():
         verify._shard_sizes(10, 0)
 
 
+def test_sharded_skips_empty_shards_and_keeps_shard_streams():
+    got = list(verify._sharded(2, 4, 7, "tail"))
+    assert [size for size, _ in got] == [1, 1]  # shards 2 and 3 are empty
+    for s, (_, rng) in enumerate(got):
+        assert rng.random() == stream_rng(7, "tail", s).random()
+
+
 # --- result containers ---
 
 def test_estimator_result_validation_and_json():
@@ -84,6 +91,22 @@ def test_envelope_verdicts_and_key_order():
     assert env["verdict"] == "violated"
     env = envelope("demo", {"p": 0.5}, r)
     assert "bound" not in env and "verdict" not in env
+    json.dumps(env)
+
+
+def test_envelope_agreement_flag_and_key_order():
+    r = EstimatorResult(0.5, 0.125, 1000, (0.25, 0.75), 3, 2)  # 4 s.e. = 0.5
+    env = envelope("demo", {"p": 0.5}, r, expected=1.0)
+    assert list(env) == ["op", "config", "estimate", "std_error", "n_samples",
+                         "ci95", "seed", "shards", "expected", "within_4se"]
+    assert env["expected"] == 1.0 and env["within_4se"] is True
+    assert envelope("demo", {}, r, expected=0.0)["within_4se"] is True
+    assert envelope("demo", {}, r, expected=1.0 + 1e-9)["within_4se"] is False
+    assert envelope("demo", {}, r, expected=-0.25)["within_4se"] is False
+    both = envelope("demo", {}, r, bound=0.0, expected=0.5)
+    assert list(both)[-4:] == ["bound", "verdict", "expected", "within_4se"]
+    nan = EstimatorResult(math.nan, 0.125, 1000, (0.0, 1.0), 3, 2)
+    assert envelope("demo", {}, nan, expected=0.5)["within_4se"] is False
     json.dumps(env)
 
 
@@ -153,6 +176,28 @@ def test_tail_threshold_validation():
         verify.estimate_tail(2, 0.5, 100, 1.2, 100)  # a < sqrt(2)
     with pytest.raises(ValueError):
         verify.estimate_tail(1, 0.5, 100, 0.5, 100)
+
+
+_NON_FINITE_SITES = {
+    "estimate_tail": lambda x: verify.estimate_tail(2, 0.5, 10, x, 10),
+    "ld_bound_d1": lambda x: analytics.ld_bound(0.5, x, 1),
+    "ld_bound_d2": lambda x: analytics.ld_bound(0.5, x, 2),
+    "LyapunovConfig": lambda x: analytics.LyapunovConfig(0.5, x),
+    "Critical": lambda x: Critical(x),
+    "PowerDecay": lambda x: PowerDecay(x, 0.5),
+    "b_from_a": lambda x: zigzag.b_from_a(x, 2),
+    "sample_ppp": lambda x: zigzag.sample_ppp(x, 0.1, 1.0, np.random.default_rng(0)),
+    "sample_endpoints": lambda x: zigzag.sample_endpoints(2, x, 0.1, 5,
+                                                          np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("site", sorted(_NON_FINITE_SITES))
+def test_non_finite_parameter_refused(site, value):
+    # NaN fails every comparison, so each check is written to fail on it
+    with pytest.raises(ValueError, match="finite"):
+        _NON_FINITE_SITES[site](value)
 
 
 def test_covariance_diagonal_is_exact_one():
