@@ -299,19 +299,13 @@ def estimate_covariance(schedule: Schedule, i: int, j: int, samples: int,
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
     _check_samples(samples)
-    probs = schedule.prefix_probs(j)
     total = 0
     for size, rng in _sharded(samples, shards, seed, "covariance"):
-        sign = (rng.integers(0, 2, size) * 2 - 1).astype(np.int8)
-        yi = sign.copy()
-        for k in range(2, j + 1):
-            mask = rng.random(size) < probs[k - 1]
-            hits = int(mask.sum())
-            if hits:
-                sign[mask] = (rng.integers(0, 2, hits) * 2 - 1).astype(np.int8)
+        for k, code in walk._headings(1, schedule, j, size, rng):
             if k == i:
-                yi = sign.copy()
-        total += int((yi.astype(np.int64) * sign).sum())
+                code_i = code.copy()
+        # Y_i Y_j = +1 exactly when the 1-d headings at steps i and j agree
+        total += size - 2 * int(np.count_nonzero(code_i != code))
     # products are +-1, so the sum of their squares is the sample count
     return _mean_estimator(total, samples, samples, seed, shards)
 

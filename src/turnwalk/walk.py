@@ -19,9 +19,11 @@ steps and exists for cross-checking.
 
 ``sample_positions`` is the vectorized many-path workhorse used by the
 statistical experiments; it implements both laws batch-wise and can record
-position snapshots and direction-change counts along the way.  Its
-per-step engine replays every step and is the batched reference; its event
-engine is the run engine below.
+position snapshots and direction-change counts along the way.  Its event
+engine is the run engine below; its per-step engine is the batched
+reference, the generator ``_headings`` of every path's direction code
+after each step, read by ``sample_positions(method="step")`` (unit steps,
+code changes) and ``verify.estimate_covariance`` (codes at two steps).
 
 For a ``Constant`` rate the endpoint alone needs O(d) variates per path.
 The redraws at steps 2..n are iid Bernoulli(p), so given R runs the cut
@@ -312,8 +314,8 @@ def embedded_jumps(path: Path) -> list:
     """Displacements between consecutive redraw times, as (direction, length).
 
     For a constant schedule the lengths are Geometric(p) and the directions
-    uniform, which is what makes the event-driven sampler fast.  The final
-    partial run up to the horizon is not a complete jump and is omitted.
+    uniform.  The final partial run up to the horizon is not a complete
+    jump and is omitted.
     """
     jumps = []
     for k in range(len(path.events) - 1):
@@ -345,8 +347,9 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
     counts, per path, the steps t in (lo, hi] at which the direction actually
     changed.  ``method`` selects the per-step engine ("step") or the run
     engine ("events"); both draw the same law, matching ``simulate`` and
-    ``simulate_events``.  "step" replays every step and is the reference
-    the other paths are tested against.
+    ``simulate_events``.  "step" replays every step through the heading
+    generator ``_headings`` and is the reference the other paths are
+    tested against.
 
     With "events", a ``Constant`` schedule, only the horizon requested and
     no change window, the endpoints come from the composition shortcut in
@@ -377,7 +380,19 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
         return PositionsSample(positions, changes)
 
     if method == "step":
-        _run_dense(d, schedule, n, samples, rng, positions, changes, count_changes_in)
+        dtype = np.int32 if n < 2 ** 31 else np.int64
+        # row c: the unit step of direction code c (+axis0, -axis0, +axis1, ...)
+        unit = np.kron(np.eye(d, dtype=dtype), np.array([[1], [-1]], dtype=dtype))
+        pos = np.zeros((samples, d), dtype=dtype)
+        lo, hi = count_changes_in or (n, n)
+        for k, code in _headings(d, schedule, n, samples, rng):
+            if lo < k <= hi:
+                changes += code != prev
+            if lo <= k < hi:
+                prev = code.copy()
+            pos += unit[code]
+            if k in positions:
+                positions[k][:] = pos
     elif isinstance(schedule, Constant) and times == (n,) and changes is None:
         positions[n][:] = _constant_endpoints(d, schedule.p, n, samples, rng)
     else:
@@ -428,30 +443,20 @@ def _constant_endpoints(d, p, n, samples, rng):
     return totals[:, 0::2] - totals[:, 1::2]
 
 
-def _run_dense(d, schedule, n, samples, rng, positions, changes, window):
+def _headings(d, schedule, n, samples, rng):
+    """The per-step engine: yield ``(k, code)`` after each step k = 1..n.
+
+    ``code`` holds every path's direction code, encoded as in ``_runs``,
+    and is updated in place; callers copy what they keep.
+    """
     p = schedule.prefix_probs(n)
-    axis = np.zeros(samples, dtype=np.int64)
-    sign = np.zeros(samples, dtype=np.int64)
-    pos = np.zeros((samples, d), dtype=np.int64)
-    rows = np.arange(samples)
-    for k in range(1, n + 1):
-        if k == 1:
-            mask = np.ones(samples, dtype=bool)
-        else:
-            mask = rng.random(samples) < p[k - 1]
-        if mask.any():
-            idx = rng.integers(0, 2 * d, mask.sum())
-            new_axis = idx // 2
-            new_sign = 1 - 2 * (idx % 2)
-            if changes is not None and window[0] < k <= window[1]:
-                moved = (new_axis != axis[mask]) | (new_sign != sign[mask])
-                changes[mask] += moved
-            axis[mask] = new_axis
-            sign[mask] = new_sign
-        pos[rows, axis] += sign
-        if k in positions:
-            positions[k][:] = pos
-    return
+    code = rng.integers(0, 2 * d, samples).astype(np.min_scalar_type(2 * d - 1))
+    yield 1, code
+    for k in range(2, n + 1):
+        redraw = rng.random(samples) < p[k - 1]
+        if redraw.any():
+            code[redraw] = rng.integers(0, 2 * d, np.count_nonzero(redraw))
+        yield k, code
 
 
 def _hazard_table(schedule, n):

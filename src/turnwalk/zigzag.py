@@ -143,8 +143,9 @@ def sample_ppp(b: float, epsilon: float | None, T: float,
         epsilon = 1e-4 * T
     if not (math.isfinite(b) and b > 0):
         raise ValueError(f"b must be positive and finite, got {b}")
-    if not 0 < epsilon <= T:
-        raise ValueError(f"need 0 < epsilon <= T, got epsilon={epsilon}, T={T}")
+    if not (math.isfinite(T) and 0 < epsilon <= T):
+        raise ValueError(f"need a finite horizon T and 0 < epsilon <= T, "
+                         f"got epsilon={epsilon}, T={T}")
     lam = b * (np.log(T) - np.log(epsilon))
     while True:
         count = int(rng.poisson(lam))

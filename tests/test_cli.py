@@ -217,6 +217,17 @@ def test_zigzag_requires_exactly_one_rate(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--epsilon", "0.1"]])
+def test_zigzag_infinite_horizon_exit_2(capsys, recwarn, extra):
+    # a precondition naming the horizon, not numpy's Poisson rate error
+    rc, out, err = _run(capsys, ["zigzag", "--d", "2", "--b", "1", "--horizon", "inf",
+                                 *extra])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite horizon" in err
+    assert len(recwarn) == 0
+
+
 # --- classify ---
 
 def test_classify_json(capsys):

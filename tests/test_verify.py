@@ -222,6 +222,25 @@ def test_covariance_validation():
         verify.estimate_covariance(Constant(0.5), 0, 2, 100)
 
 
+def test_covariance_pinned_values():
+    # any change to the per-step engine's draws or their order moves these
+    r = verify.estimate_covariance(Constant(0.5), 2, 6, 50_000, seed=5, shards=3)
+    assert (repr(r.estimate), repr(r.std_error)) == ("0.0686", "0.004461645315976889")
+    r = verify.estimate_covariance(Critical(2.0, n0=3), 1, 9, 50_000, seed=13)
+    assert (repr(r.estimate), repr(r.std_error)) == ("0.00436", "0.0044721381696450485")
+
+
+def test_covariance_memory_bounded():
+    # one byte of heading per path at steps i and j, not int64 positions
+    tracemalloc.start()
+    try:
+        verify.estimate_covariance(Critical(1.0, n0=2), 20, 25, 1_000_000, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_moment4_single_step_is_exact_one():
     r = verify.moment4_experiment(0.5, 1, 500, seed=3)
     assert r.estimate == 1.0

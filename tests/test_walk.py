@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -438,21 +439,46 @@ _POSITION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("cells", [None, 4])
+@pytest.mark.parametrize("cells, method", [
+    pytest.param(None, "events", id="None"),
+    pytest.param(4, "events", id="4"),
+    pytest.param(None, "step", id="step"),
+])
 @pytest.mark.parametrize("case", range(len(_POSITION_CASES)))
-def test_event_positions_match_exact_law(monkeypatch, case, cells):
-    # snapshots and windowed change counts jointly; with four-cell blocks
-    # paths cross many segment and block boundaries
+def test_event_positions_match_exact_law(monkeypatch, case, cells, method):
+    # snapshots and windowed change counts jointly, from either engine; with
+    # four-cell blocks paths cross many segment and block boundaries
     d, schedule, n, times, window = _POSITION_CASES[case]
     if cells:
         monkeypatch.setattr(walk, "_BLOCK_CELLS", cells)
     samples = 4_000 if cells else 200_000
     out = walk.sample_positions(d, schedule, n, samples, _rng(131 + case), times=times,
-                                count_changes_in=window, method="events")
+                                count_changes_in=window, method=method)
     points = np.concatenate([out.at(t) for t in times]
                             + [out.change_counts[:, None]], axis=1)
     law = _exact_positions_law(d, schedule, n, times, window)
     assert _chi_square_pvalue(points, law) > 1e-3
+
+
+def test_step_engine_pinned_digest():
+    # snapshots (int64) and change counts of the per-step engine, hashed;
+    # forced and frozen steps, snapshot times 0 and 1, and no window
+    cases = [
+        (1, Constant(0.3), 12, (0, 1, 5, 12), (2, 11)),
+        (2, Critical(1.0, n0=2), 10, (3, 10), (1, 10)),
+        (3, Explicit((0.5, 1.0, 0.0, 0.2, 1.0, 0.0, 0.7)), 9, (2, 6, 9), (3, 9)),
+        (2, Constant(0.0), 7, (7,), None),
+    ]
+    h = hashlib.sha256()
+    for k, (d, schedule, n, times, window) in enumerate(cases):
+        out = walk.sample_positions(d, schedule, n, 3_000, _rng(200 + k), times=times,
+                                    count_changes_in=window, method="step")
+        for t in times:
+            h.update(out.at(t).tobytes())
+        if window:
+            h.update(out.change_counts.tobytes())
+    assert h.hexdigest() == \
+        "53f62227a684a3ad988058a2b4fc69f9dbd55f3318efd21df30b12ee7e3b1e81"
 
 
 @pytest.mark.parametrize("case, cells", [(0, None), (1, None), (0, 4), (1, 4)])

@@ -54,6 +54,13 @@ def test_sample_ppp_validation():
         zigzag.sample_ppp(1.0, 0.0, 1.0, rng)
 
 
+@pytest.mark.parametrize("epsilon, T", [(None, math.inf), (0.1, math.inf),
+                                        (None, math.nan), (math.nan, 1.0)])
+def test_sample_ppp_refuses_non_finite_window(epsilon, T):
+    with pytest.raises(ValueError, match="finite horizon"):
+        zigzag.sample_ppp(1.0, epsilon, T, _rng(4))
+
+
 def test_sample_ppp_mean_count():
     # log-uniform construction: the count is Poisson(b ln(T/eps))
     rng = _rng(5)
