@@ -387,12 +387,14 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if n < 10_000:
         raise ValueError("critical_limit_test needs n >= 10^4 to be meaningful")
+    m = int(delta * n)
+    if m < 1:
+        raise ValueError(f"need delta * n >= 1, got delta={delta}, n={n}")
     zigzag_samples = samples if zigzag_samples is None else zigzag_samples
     _check_samples(samples, 2)
     _check_samples(zigzag_samples, 1, "zigzag_samples")
     b = b_from_a(a, d)
     schedule = Critical(a=a, n0=max(1, math.ceil(a)))
-    m = int(delta * n)
 
     counts_parts, sm_parts, sn_parts = [], [], []
     for size, rng in _sharded(samples, shards, seed, "critical_walk"):
@@ -546,33 +548,23 @@ def _volkov_chunk(p: float, levels: tuple, c: int, horizon: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Pass-once flags of c walks, one row per level, streamed in blocks of time.
 
-    Each walk carries its position, whether it has hit each level yet, and
-    whether it has fallen back to the level or below since the first hit,
-    so memory is a fixed number of cells per walk, whatever the horizon.  A
-    first hit on the last step counts as passed.
+    A +-1 walk from 0 falls back to a level l >= 1 only by stepping on it,
+    so it passes l once exactly when it visits l once (gambler's ruin;
+    Feller, Vol. 1, ch. XIV).  Each walk carries its position and one visit
+    count per level: a fixed number of cells per walk, whatever the horizon.
     """
     width = max(1, _VOLKOV_CELLS // c)
     x0 = np.zeros((c, 1), dtype=np.int32)
-    hit = np.zeros((len(levels), c), dtype=bool)
-    fell = np.zeros((len(levels), c), dtype=bool)
-    rows = np.arange(c)
+    visits = np.zeros((len(levels), c), dtype=np.int64)
     for t0 in range(0, horizon, width):
         w = min(width, horizon - t0)
         steps = (rng.random((c, w)) < p).astype(np.int8) * 2 - 1
         x = np.cumsum(steps, axis=1, dtype=np.int32)
         x += x0
         x0 = x[:, -1:]
-        # suffix minima: smallest value from each time onward in the block
-        suffmin = np.minimum.accumulate(x[:, ::-1], axis=1)[:, ::-1]
         for k, level in enumerate(levels):
-            fell[k] |= hit[k] & (suffmin[:, 0] <= level)
-            at = x == level
-            tau = at.argmax(axis=1)
-            first = ~hit[k] & at[rows, tau]
-            inner = first & (tau < w - 1)
-            fell[k, inner] = suffmin[rows[inner], tau[inner] + 1] <= level
-            hit[k] |= first
-    return hit & ~fell
+            visits[k] += np.count_nonzero(x == level, axis=1)
+    return visits == 1
 
 
 def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
@@ -581,8 +573,10 @@ def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
     """Pass-once frequencies for the biased +-1 walk.
 
     The walk passes level l "once" when, after first hitting l, it never
-    falls back to l or below.  Detection runs within a horizon certified so
-    that post-horizon reversals contribute < 1e-6 misclassification mass;
+    falls back to l or below: a +-1 walk does so iff it visits l once.
+    Detection runs within a horizon certified so that post-horizon
+    reversals, and walks that end it below a level visited once (counted
+    as passed, X_H < j + Delta), add < 1e-6 misclassification mass;
     horizon=None picks the smallest power-of-two that certifies.
     Returns estimators for P(pass i) and P(pass i and pass j).
     """

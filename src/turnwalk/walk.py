@@ -443,6 +443,11 @@ def _constant_endpoints(d, p, n, samples, rng):
     return totals[:, 0::2] - totals[:, 1::2]
 
 
+def _code_dtype(d):
+    """The smallest unsigned type that holds the direction codes 0..2d - 1."""
+    return np.min_scalar_type(2 * d - 1)
+
+
 def _headings(d, schedule, n, samples, rng):
     """The per-step engine: yield ``(k, code)`` after each step k = 1..n.
 
@@ -450,7 +455,7 @@ def _headings(d, schedule, n, samples, rng):
     and is updated in place; callers copy what they keep.
     """
     p = schedule.prefix_probs(n)
-    code = rng.integers(0, 2 * d, samples).astype(np.min_scalar_type(2 * d - 1))
+    code = rng.integers(0, 2 * d, samples).astype(_code_dtype(d))
     yield 1, code
     for k in range(2, n + 1):
         redraw = rng.random(samples) < p[k - 1]
@@ -602,7 +607,7 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
     # |position - target|_1 <= n + |target|_1 bounds every engine integer
     dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64
     rel = np.tile(-np.asarray(target, dtype=dtype), (samples, 1))
-    heading = rng.integers(0, 2 * d, samples, dtype=np.uint8)
+    heading = rng.integers(0, 2 * d, samples, dtype=_code_dtype(d))
     for lo, hi in _segments(nc, forced, n, cuts):
         seg_forced = forced[np.searchsorted(forced, lo, side="right"):
                             np.searchsorted(forced, hi, side="right")]
@@ -663,8 +668,8 @@ def _block_runs(d, nc, lo, hi, seg_forced, k, heading, rows, dtype, rng):
     starts[:, 0] = lo + 1
     starts[:, 1:m] = steps
     starts[:, m] = hi + 1
-    dirs = np.empty((b, m), dtype=np.uint8)
+    dirs = np.empty((b, m), dtype=heading.dtype)
     dirs[:, 0] = heading[rows]
-    dirs[:, 1:] = rng.integers(0, 2 * d, (b, m - 1), dtype=np.uint8)
+    dirs[:, 1:] = rng.integers(0, 2 * d, (b, m - 1), dtype=heading.dtype)
     heading[rows] = dirs[np.arange(b), k + seg_forced.size]
     return starts, dirs

@@ -272,6 +272,25 @@ def test_verify_recurrence_points(capsys):
     assert [pt["horizon"] for pt in blob["points"]] == [0, 10]
 
 
+@pytest.mark.parametrize("d", ["130", "200"])
+def test_verify_recurrence_beyond_256_direction_codes(capsys, d):
+    # d > 128 has more than 256 direction codes, more than one byte holds
+    blob = _run_json(capsys, ["verify", "recurrence", "--d", d, "--schedule",
+                              CONST_HALF, "--horizons", "10,100", "--samples",
+                              "200"])
+    assert [pt["horizon"] for pt in blob["points"]] == [10, 100]
+
+
+def test_verify_critical_window_before_step_one_exit_2(capsys):
+    # delta n = 0.1: the turn-count window (delta n, n] would start at step 0
+    rc, out, err = _run(capsys, ["verify", "critical", "--d", "2", "--a", "1",
+                                 "--n", "10000", "--delta", "0.00001"])
+    assert rc == 2
+    assert out == ""
+    assert "need delta * n >= 1, got delta=1e-05, n=10000" in err
+    assert "count_changes_in" not in err
+
+
 def test_verify_volkov_small(capsys):
     blob = _run_json(capsys, ["verify", "volkov", "--p", "0.7", "--i", "2",
                               "--j", "3", "--samples", "20000"])

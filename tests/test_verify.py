@@ -350,6 +350,16 @@ def test_critical_preconditions():
         verify.critical_limit_test(2, 1.0, 5_000, 1_000, 0.1)
 
 
+def test_critical_refuses_empty_window_start(monkeypatch):
+    # delta n < 1 would open the window at step 0; refused before sampling
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before validating delta")
+
+    monkeypatch.setattr(verify.walk, "sample_positions", no_sampling)
+    with pytest.raises(ValueError, match=r"delta \* n >= 1.*delta=1e-05, n=10000"):
+        verify.critical_limit_test(2, 1.0, 10_000, 1_000, 0.00001)
+
+
 def test_recurrence_experiment_horizon_zero_and_order():
     pts = verify.recurrence_experiment(1, Constant(0.5), (0, 10, 100), 2_000,
                                        seed=13)
@@ -404,6 +414,33 @@ def test_volkov_streams_first_hits_and_fall_backs(monkeypatch, cells):
     assert [bool(f[0]) for f in passed] == [False, True, True]
 
 
+@pytest.mark.parametrize("cells", [2, 3, 1 << 21])
+def test_volkov_passes_once_means_one_visit(monkeypatch, cells):
+    # x = 1, 0, 1, 0, 1, 2, 3: level 1 is visited three times, level 2
+    # once and level 4 never, so only level 2 is passed once
+    monkeypatch.setattr(verify, "_VOLKOV_CELLS", cells)
+    ups = [1, 0, 1, 0, 1, 1, 1]
+    passed = verify._volkov_chunk(0.5, (1, 2, 4), 1, 7, _StepRng(ups))
+    assert passed.shape == (3, 1)
+    assert [bool(f[0]) for f in passed] == [False, True, False]
+
+
+def test_volkov_pinned_values():
+    # any change to the uniforms drawn, or to how a walk is judged, moves these
+    r = verify.volkov_bc_experiment(0.55, 5, 6, 4096, seed=7)
+    assert r.horizon == 8192
+    assert (repr(r.single.estimate), repr(r.single.std_error)) == (
+        "0.08935546875", "0.004457127284637702")
+    assert (repr(r.joint.estimate), repr(r.joint.std_error)) == (
+        "0.05078125", "0.0034304798575186513")
+    r = verify.volkov_bc_experiment(0.7, 5, 10, 30_000, seed=11, shards=3)
+    assert r.horizon == 512
+    assert (repr(r.single.estimate), repr(r.single.std_error)) == (
+        "0.40313333333333334", "0.002832059609123655")
+    assert (repr(r.joint.estimate), repr(r.joint.std_error)) == (
+        "0.1631", "0.002133060321072363")
+
+
 def test_volkov_matches_gambler_across_time_blocks(monkeypatch):
     # 64-step blocks: walks cross many block boundaries before and after
     # their first hits
@@ -426,6 +463,19 @@ def test_volkov_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 24 * verify._VOLKOV_CELLS
+
+
+def test_volkov_memory_per_cell():
+    # two 2048-walk chunks of 8192 steps; per cell of a time block: the
+    # uniforms, the step signs, this and the last block's positions and one
+    # level mask, about 14 bytes
+    tracemalloc.start()
+    try:
+        verify.volkov_bc_experiment(0.55, 5, 6, 4096, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * verify._VOLKOV_CELLS
 
 
 def test_volkov_validation():

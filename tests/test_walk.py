@@ -236,6 +236,40 @@ def test_samplers_reject_nonpositive_dimension():
         walk.simulate_events(-1, Constant(0.5), 5, _rng())
 
 
+# d > 128 has more than 256 direction codes, more than one byte holds
+
+@pytest.mark.parametrize("d", [130, 200])
+def test_run_engine_positions_beyond_256_direction_codes(d):
+    pos = walk.sample_positions(d, Critical(1.0), 10, 5, _rng(1)).at(10)
+    assert pos.shape == (5, d)
+    assert (np.abs(pos).sum(axis=1) <= 10).all()
+    assert (np.abs(pos).sum(axis=1) % 2 == 0).all()
+    pos = walk.sample_positions(d, Constant(1.0), 3, 2_000, _rng(2),
+                                times=(1, 3)).at(1)
+    assert (np.abs(pos).sum(axis=1) == 1).all()
+    # the first step points along every axis, the last ones included
+    assert np.count_nonzero(pos[:, 128:]) > 0
+    assert np.count_nonzero(pos[:, d - 1]) > 0
+
+
+@pytest.mark.parametrize("d", [130, 200])
+def test_run_engine_visits_beyond_256_direction_codes(d):
+    # every step redraws: S_2 = 0 exactly when step 2 reverses step 1
+    n = 52_000
+    stats = walk.sample_visit_stats(d, Constant(1.0), 2, n, _rng(3))
+    hits = int(stats.counts[2].sum())
+    assert abs(hits - n / (2 * d)) < 4 * math.sqrt(n / (2 * d))
+
+
+@pytest.mark.parametrize("d", [130, 200])
+def test_simulate_events_beyond_256_direction_codes(d):
+    rng = _rng(4)
+    paths = [walk.simulate_events(d, Constant(1.0), 50, rng) for _ in range(20)]
+    axes = [ev.new_direction.axis for path in paths for ev in path.events]
+    assert len(axes) == 20 * 50
+    assert 128 <= max(axes) < d
+
+
 def test_batch_engines_match_scalar_law():
     # same mixed schedule: batch "step"/"events" vs the scalar samplers,
     # two-sample chi-square over endpoint cells
@@ -479,6 +513,31 @@ def test_step_engine_pinned_digest():
             h.update(out.change_counts.tobytes())
     assert h.hexdigest() == \
         "53f62227a684a3ad988058a2b4fc69f9dbd55f3318efd21df30b12ee7e3b1e81"
+
+
+def test_run_engine_pinned_digest():
+    # the run engine's snapshots, change counts, visit counts and redraw
+    # events, hashed: its one-byte direction codes for d <= 128 keep the
+    # stream of every seed
+    cases = [
+        (1, Constant(0.3), 12, (0, 1, 5, 12), (2, 11)),
+        (2, Critical(1.0, n0=2), 10, (3, 10), (1, 10)),
+        (3, Explicit((0.5, 1.0, 0.0, 0.2, 1.0, 0.0, 0.7)), 9, (2, 6, 9), (3, 9)),
+    ]
+    h = hashlib.sha256()
+    for k, (d, schedule, n, times, window) in enumerate(cases):
+        rng = _rng(300 + k)
+        out = walk.sample_positions(d, schedule, n, 3_000, rng, times=times,
+                                    count_changes_in=window)
+        for t in times:
+            h.update(out.at(t).tobytes())
+        h.update(out.change_counts.tobytes())
+        stats = walk.sample_visit_stats(d, schedule, n, 3_000, rng, horizons=(n // 2, n))
+        h.update(stats.counts[n // 2].tobytes() + stats.counts[n].tobytes())
+        path = walk.simulate_events(d, schedule, 40, rng)
+        h.update(repr(path.events).encode())
+    assert h.hexdigest() == \
+        "f77aabc8e4d153cbe9bb7ea49cdb75478d53d52a921a5b4463f62b0172e69ff4"
 
 
 @pytest.mark.parametrize("case, cells", [(0, None), (1, None), (0, 4), (1, 4)])
