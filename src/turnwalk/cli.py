@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -87,14 +88,17 @@ def _cmd_simulate(args) -> int:
            "sampler": args.sampler, "dense": args.dense, "format": "csv"}
     rng = verify.stream_rng(args.seed, "simulate", 0)
     draw = walk.simulate if args.sampler == "step" else walk.simulate_events
-    paths = [draw(args.d, sched, args.n, rng) for _ in range(args.samples)]
+    # drawn as written, so memory does not grow with --samples; the first
+    # draw comes before any output, so a rejected argument writes nothing
+    paths = (draw(args.d, sched, args.n, rng) for _ in range(args.samples))
+    paths = itertools.chain([next(paths)], paths)
     with _out_stream(args.out) as fh:
         fh.write(_config_line(cfg) + "\n")
         if args.samples == 1:
             if args.dense:
-                paths[0].dense_to_csv(fh)
+                next(paths).dense_to_csv(fh)
             else:
-                paths[0].to_csv(fh)
+                next(paths).to_csv(fh)
             return 0
         writer = csv.writer(fh, lineterminator="\n")
         if args.dense:

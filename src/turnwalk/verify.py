@@ -17,18 +17,18 @@ being checked are one-sided.  A comparison with an exact value is
 two-sided: ``within_4se`` when |estimate - expected| <= 4 se.  Statistical
 tests report a normalized statistic: the maximum over their sub-checks of
 (observed / allowed), so the rejection rule is uniformly "statistic > 1".
-A NaN sub-check makes the statistic NaN, and a statistic that is not a
-number is rejected.
+A sub-check with zero allowance scores 0 on an exact match and +inf
+otherwise.  A NaN sub-check makes the statistic NaN, and a statistic that
+is not a number is rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ndtr
-from scipy.stats import chi2 as _chi2
+from scipy.special import gammaincinv, gammaln, ndtr
 
 from . import walk
 from .schedule import Constant, Critical, Schedule
@@ -53,6 +53,8 @@ __all__ = [
 
 # Cells (walks x steps) the pass-once experiment holds at a time
 _VOLKOV_CELLS = 1 << 21
+
+_MIN_EXPECTED = 5.0  # poisson_gof pools cells expecting fewer counts
 
 STREAMS = {
     "tail": 1,
@@ -132,14 +134,7 @@ class EstimatorResult:
         object.__setattr__(self, "ci95", tuple(self.ci95))
 
     def to_json(self) -> dict:
-        return _builtin({
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "ci95": list(self.ci95),
-            "seed": self.seed,
-            "shards": self.shards,
-        })
+        return _builtin(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -153,21 +148,24 @@ class TestReport:
 
     statistic: float
     threshold: float
+    rejected: bool = field(init=False)  # third, as in the JSON key order
     config: dict
     details: dict = field(default_factory=dict)
-    rejected: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rejected", not self.statistic <= self.threshold)
 
     def to_json(self) -> dict:
-        return _builtin({
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "rejected": self.rejected,
-            "config": self.config,
-            "details": self.details,
-        })
+        return _builtin(asdict(self))
+
+
+def _ratio(observed: float, allowed: float) -> float:
+    """A sub-check's observed / allowed, by the rules in the module docstring."""
+    if math.isnan(observed) or math.isnan(allowed):
+        return math.nan
+    if allowed == 0.0:
+        return 0.0 if observed == 0.0 else math.inf
+    return observed / allowed
 
 
 def _mean_estimator(sum_x: float, sum_x2: float, n: int, seed: int,
@@ -235,11 +233,15 @@ def ks_critical(alpha: float) -> float:
     return math.sqrt(-0.5 * math.log(alpha / 2.0))
 
 
-def poisson_gof(counts: np.ndarray, lam: float, alpha: float = 0.01,
-                min_expected: float = 5.0) -> tuple:
+def _chi2_critical(dof: int, alpha: float) -> float:
+    """scipy.stats.chi2.ppf(1 - alpha, dof), without that module's import time."""
+    return float(2.0 * gammaincinv(dof / 2.0, 1.0 - alpha))
+
+
+def poisson_gof(counts: np.ndarray, lam: float, alpha: float = 0.01) -> tuple:
     """Chi-square goodness of fit of integer counts against Poisson(lam).
 
-    Cells with expected count below ``min_expected`` are pooled inward from
+    Cells with expected count below ``_MIN_EXPECTED`` are pooled inward from
     both ends.  Returns (statistic, critical_value, dof); lam is treated as
     known, so dof = cells - 1.
     """
@@ -249,18 +251,17 @@ def poisson_gof(counts: np.ndarray, lam: float, alpha: float = 0.01,
     pmf = np.exp(-lam + ks * math.log(lam) - gammaln(ks + 1.0))
     expected = np.append(pmf, max(0.0, 1.0 - pmf.sum())) * counts.size
     observed = np.append(np.bincount(counts, minlength=kmax + 1), 0).astype(float)
-    while expected.size > 2 and expected[-1] < min_expected:
+    while expected.size > 2 and expected[-1] < _MIN_EXPECTED:
         expected[-2] += expected[-1]
         observed[-2] += observed[-1]
         expected, observed = expected[:-1], observed[:-1]
-    while expected.size > 2 and expected[0] < min_expected:
+    while expected.size > 2 and expected[0] < _MIN_EXPECTED:
         expected[1] += expected[0]
         observed[1] += observed[0]
         expected, observed = expected[1:], observed[1:]
     stat = float(np.sum((observed - expected) ** 2 / expected))
     dof = expected.size - 1
-    crit = float(_chi2.ppf(1.0 - alpha, dof))
-    return stat, crit, dof
+    return stat, _chi2_critical(dof, alpha), dof
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +342,8 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
     ks_thresh = ks_critical(alpha) / math.sqrt(samples) + spacing
     ks = [ks_one_sample_normal(z[:, c]) for c in range(d)]
     variances = z.var(axis=0, ddof=1)
-    ratios = [dc / ks_thresh for dc in ks]
-    ratios += [abs(v - 1.0) / 0.04 for v in variances]
+    ratios = [_ratio(dc, ks_thresh) for dc in ks]
+    ratios += [_ratio(abs(v - 1.0), 0.04) for v in variances]
     cross = []
     for c1 in range(d):
         for c2 in range(c1 + 1, d):
@@ -350,7 +351,7 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
             cov = float(prod.mean())
             se = float(prod.std(ddof=1)) / math.sqrt(samples)
             cross.append({"axes": [c1, c2], "cov": cov, "std_error": se})
-            ratios.append(abs(cov) / (4.0 * se))
+            ratios.append(_ratio(abs(cov), 4.0 * se))
     config = {"op": "scaling", "d": d, "p": p, "n": n, "samples": samples,
               "seed": seed, "shards": shards, "alpha": alpha}
     details = {
@@ -416,9 +417,6 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     lam = b * math.log(1.0 / delta)
     mean = float(counts.mean())
     se = float(counts.std(ddof=1)) / math.sqrt(samples)
-    # equal counts give se = 0: any miss of lam is then a certain rejection
-    ratio_mean = (abs(mean - lam) / (4.0 * se) if se > 0.0
-                  else (0.0 if mean == lam else math.inf))
     chi_stat, chi_crit, chi_dof = poisson_gof(counts, lam, alpha=alpha)
 
     ks_thresh = ks_critical(alpha) * math.sqrt((samples + zigzag_samples)
@@ -429,9 +427,8 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     unmatched = ks_two_sample(np.linalg.norm(s_n / n, axis=1),
                               np.linalg.norm(zz, axis=1))
 
-    ratios = [ratio_mean, chi_stat / chi_crit]
-    ratios += [dc / ks_thresh for dc in ks_coords]
-    ratios.append(ks_norm / ks_thresh)
+    ratios = [_ratio(abs(mean - lam), 4.0 * se), _ratio(chi_stat, chi_crit)]
+    ratios += [_ratio(dc, ks_thresh) for dc in ks_coords + [ks_norm]]
     config = {"op": "critical", "d": d, "a": a, "n": n, "samples": samples,
               "zigzag_samples": zigzag_samples, "delta": delta, "seed": seed,
               "shards": shards, "alpha": alpha}
@@ -461,13 +458,7 @@ class RecurrencePoint:
     se_late: float
 
     def to_json(self) -> dict:
-        return _builtin({
-            "horizon": self.horizon,
-            "mean_visits": self.mean_visits,
-            "se_visits": self.se_visits,
-            "fraction_late": self.fraction_late,
-            "se_late": self.se_late,
-        })
+        return _builtin(asdict(self))
 
 
 def recurrence_experiment(d: int, schedule: Schedule, horizons, samples: int,
@@ -561,9 +552,11 @@ def _volkov_chunk(p: float, levels: tuple, c: int, horizon: int,
         steps = (rng.random((c, w)) < p).astype(np.int8) * 2 - 1
         x = np.cumsum(steps, axis=1, dtype=np.int32)
         x += x0
-        x0 = x[:, -1:]
         for k, level in enumerate(levels):
             visits[k] += np.count_nonzero(x == level, axis=1)
+        # a copy, so the next block's uniforms never sit beside these positions
+        x0 = x[:, -1:].copy()
+        del x
     return visits == 1
 
 

@@ -467,13 +467,14 @@ def _headings(d, schedule, n, samples, rng):
 def _hazard_table(schedule, n):
     """Cumulative hazard ``nc`` and the sorted forced (p == 1) steps.
 
-    nc[t] = sum over j <= t of -log(1 - p_j), with p_j == 1 steps adding
-    zero since -log(0) would poison the cumsum; those steps are listed in
-    ``forced`` instead, leaving out step 1, which always redraws.  The
-    hazards are computed in place in the ``prefix_probs`` array, so the
-    working set is two O(n) float arrays.
+    The hazard starts at step 2, as step 1 draws the starting heading:
+    nc[t] = sum over 2 <= j <= t of -log(1 - p_j), with p_j == 1 steps
+    adding zero since -log(0) would poison the cumsum; those steps are
+    listed in ``forced`` instead.  The hazards are computed in place in the
+    ``prefix_probs`` array, so the working set is two O(n) float arrays.
     """
     h = schedule.prefix_probs(n)
+    h[0] = 0.0
     forced = np.flatnonzero(h >= 1.0) + 1
     h[forced - 1] = 0.0
     np.negative(h, out=h)
@@ -482,7 +483,7 @@ def _hazard_table(schedule, n):
     nc = np.empty(n + 1)
     nc[0] = 0.0
     np.cumsum(h, out=nc[1:])
-    return nc, forced[forced >= 2]
+    return nc, forced
 
 
 @dataclass(frozen=True)
@@ -563,7 +564,7 @@ def _segments(nc, forced, n, cuts=()):
     step in ``cuts`` inside (0, n) also ends a segment.
     """
     def load(t):
-        return nc[t] - nc[1] + np.searchsorted(forced, t, side="right")
+        return nc[t] + np.searchsorted(forced, t, side="right")
 
     total = load(n)
     parts = max(1, math.ceil(total / (_BLOCK_CELLS // 2)))
@@ -611,7 +612,7 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
     for lo, hi in _segments(nc, forced, n, cuts):
         seg_forced = forced[np.searchsorted(forced, lo, side="right"):
                             np.searchsorted(forced, hi, side="right")]
-        k = rng.poisson(nc[hi] - nc[max(lo, 1)], samples)
+        k = rng.poisson(nc[hi] - nc[lo], samples)
         order = np.argsort(k, kind="stable")
         k = k[order]
         r0 = 0
@@ -647,7 +648,7 @@ def _block_runs(d, nc, lo, hi, seg_forced, k, heading, rows, dtype, rng):
     """
     b = k.size
     width = int(k[-1])
-    base = nc[max(lo, 1)]
+    base = nc[lo]
     spacings = rng.standard_exponential((b, width + 1))
     np.cumsum(spacings, axis=1, out=spacings)
     scale = (nc[hi] - base) / spacings[np.arange(b), k]
@@ -656,7 +657,7 @@ def _block_runs(d, nc, lo, hi, seg_forced, k, heading, rows, dtype, rng):
     points += base
     steps = np.searchsorted(nc[lo:hi + 1], points)
     steps += lo
-    np.clip(steps, max(lo, 1) + 1, hi, out=steps)  # rounding at the ends
+    np.clip(steps, lo + 1, hi, out=steps)  # rounding at the ends
     del spacings, points
     # row r's points beyond k[r] pad with hi + 1: zero-length runs at the end
     steps[np.arange(width) >= k[:, None]] = hi + 1

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from turnwalk import analytics, cli, verify
 from turnwalk.verify import EstimatorResult, TestReport, VolkovResult
 
 CONST_HALF = '{"kind": "Constant", "p": 0.5}'
+CRITICAL_1_N0_2 = '{"kind": "Critical", "a": 1, "n0": 2}'
 
 
 def _run(capsys, argv):
@@ -151,6 +155,48 @@ def test_simulate_out_file_matches_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_simulate_pinned_digest(capsys):
+    # --samples 3 output of both samplers, sparse and dense, hashed
+    h = hashlib.sha256()
+    for d, schedule, n in ((2, CONST_HALF, 30), (3, CRITICAL_1_N0_2, 50)):
+        for sampler in ("step", "events"):
+            for dense in ([], ["--dense"]):
+                rc, out, _ = _run(capsys, ["simulate", "--d", str(d), "--schedule",
+                                           schedule, "--n", str(n), "--samples", "3",
+                                           "--seed", "6", "--sampler", sampler, *dense])
+                assert rc == 0
+                h.update(out.encode())
+    assert h.hexdigest() == \
+        "13687c19f69f021923d2ee12dfa4c8cd2570fefa7db16be1af3ee0b5155946eb"
+
+
+def test_simulate_memory_does_not_grow_with_samples(tmp_path):
+    # each path is written as it is drawn: three times the paths, the same peak
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            rc = cli.run(["simulate", "--d", "2", "--schedule", CONST_HALF,
+                          "--n", "1000", "--samples", str(samples),
+                          "--sampler", "events", "--out", str(tmp_path / "paths.csv")])
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        return top
+
+    assert peak(30) < 1.5 * peak(10)
+
+
+def test_simulate_rejected_argument_writes_nothing(tmp_path, capsys):
+    # the first path is drawn before any output is opened
+    target = tmp_path / "run.csv"
+    rc, out, err = _run(capsys, ["simulate", "--d", "2", "--schedule", CONST_HALF,
+                                 "--n", "-1", "--samples", "3", "--out", str(target)])
+    assert rc == 2
+    assert out == "" and not target.exists()
+    assert "n_steps must be nonnegative" in err
 
 
 def test_simulate_schedule_from_file(tmp_path, capsys):
@@ -465,6 +511,16 @@ def test_verify_critical_equal_turn_counts_is_a_verdict(capsys):
     assert (report["statistic"] is None) == report["rejected"] == (rc == 1)
 
 
+def test_verify_scaling_zero_se_is_a_verdict(capsys):
+    # the two sampled cross products are equal, so their s.e. is 0
+    rc, out, _ = _run(capsys, ["verify", "scaling", "--d", "2", "--p", "1",
+                               "--n", "1000", "--samples", "2", "--seed", "11"])
+    assert rc == 1
+    report = _strict_json(out)
+    assert report["rejected"] is True
+    assert report["details"]["cross_covariances"][0]["std_error"] == 0.0
+
+
 def test_json_output_is_strict(capsys):
     report = TestReport(statistic=math.inf, threshold=1.0,
                         config={"x": math.nan}, details={"v": [1.0, -math.inf]})
@@ -529,6 +585,18 @@ def test_unknown_subcommand_exit_2(capsys):
 def test_missing_required_flag_exit_2(capsys):
     assert cli.run(["simulate", "--d", "2", "--n", "5"]) == 2
     capsys.readouterr()
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats alone takes most of a command's start-up time
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, turnwalk.cli; "
+         "turnwalk.cli._build_parser(); print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point():

@@ -160,6 +160,26 @@ def test_poisson_gof_rejects_shifted_mean():
     assert stat > crit
 
 
+def test_chi2_critical_is_the_scipy_quantile():
+    # 2 * gammaincinv(dof / 2, 1 - alpha) is what scipy.stats.chi2.ppf
+    # computes, so the critical values agree to the last bit
+    for alpha in (0.01, 0.05, 1e-6):
+        for dof in range(1, 301):
+            assert verify._chi2_critical(dof, alpha) == sps.chi2.ppf(1.0 - alpha, dof)
+
+
+def test_subcheck_ratio_zero_allowance_and_nan():
+    assert verify._ratio(0.5, 2.0) == 0.25
+    # with nothing allowed, only an exact match passes
+    assert verify._ratio(0.0, 0.0) == 0.0
+    assert verify._ratio(1e-300, 0.0) == math.inf
+    assert TestReport(verify._ratio(1e-300, 0.0), 1.0, {}).rejected
+    for observed, allowed in ((math.nan, 0.0), (math.nan, 1.0), (0.5, math.nan)):
+        ratio = verify._ratio(observed, allowed)
+        assert math.isnan(ratio)
+        assert TestReport(ratio, 1.0, {}).rejected
+
+
 # --- simulation-backed estimators ---
 
 def test_tail_impossible_event_is_zero():
@@ -287,6 +307,14 @@ def test_scaling_report_structure():
     assert len(det["cross_covariances"]) == 1
     assert det["cross_covariances"][0]["axes"] == [0, 1]
     json.dumps(rep.to_json())
+
+
+def test_scaling_zero_se_cross_covariance_is_a_verdict():
+    # at p = 1 the two sampled cross products are equal, so their s.e. is 0
+    rep = verify.scaling_limit_test(2, 1.0, 1_000, 2, seed=11)
+    assert rep.details["cross_covariances"][0]["std_error"] == 0.0
+    assert rep.rejected
+    json.dumps(rep.to_json(), allow_nan=False)
 
 
 def test_scaling_preconditions():
@@ -467,15 +495,15 @@ def test_volkov_memory_bounded():
 
 def test_volkov_memory_per_cell():
     # two 2048-walk chunks of 8192 steps; per cell of a time block: the
-    # uniforms, the step signs, this and the last block's positions and one
-    # level mask, about 14 bytes
+    # uniforms, their comparison mask and the last block's step signs, about
+    # 10 bytes; the positions and the level mask come after the uniforms go
     tracemalloc.start()
     try:
         verify.volkov_bc_experiment(0.55, 5, 6, 4096, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * verify._VOLKOV_CELLS
+    assert peak < 12 * verify._VOLKOV_CELLS
 
 
 def test_volkov_validation():

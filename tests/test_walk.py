@@ -439,6 +439,7 @@ def test_forced_lookup_matches_reference_loop(values, n):
     forced = [j for j in range(2, n + 1) if p[j - 1] >= 1.0]
     with np.errstate(divide="ignore"):
         hazard = -np.log1p(-np.where(p >= 1.0, 0.0, p))
+    hazard[0] = 0.0  # step 1 draws the starting heading
     nc, got = walk._hazard_table(schedule, n)
     assert got.tolist() == forced
     assert np.array_equal(nc, np.concatenate([[0.0], np.cumsum(hazard)]))
