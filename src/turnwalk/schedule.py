@@ -64,9 +64,29 @@ class Schedule:
     def prefix_probs(self, n: int) -> np.ndarray:
         """Vectorized [p_1, ..., p_n] as a new float64 array the caller owns.
 
-        The batch samplers overwrite it in place with hazards.
+        The table fallback of ``hazard`` overwrites it in place with hazards.
         """
         raise NotImplementedError
+
+    def hazard(self, n: int):
+        """Steps 1..n on the cumulative-hazard axis, for the run engine.
+
+        The returned object has
+
+        * ``at(t)``: nc(t) = sum over 2 <= j <= t of -log(1 - p_j), for an
+          integer 0 <= t <= n; step 1, which draws the starting heading,
+          and the forced (p_j == 1) steps add 0;
+        * ``step(x, lo, hi)``: its inverse, min{t : nc(t) >= x} for each x
+          in (nc(lo), nc(hi)] (Devroye, *Non-Uniform Random Variate
+          Generation*, 1986, II.2);
+        * ``forced(lo, hi)``: the forced steps in (lo, hi], sorted, and
+          ``n_forced(t)``, how many lie in [2, t].
+
+        This default tabulates nc from ``prefix_probs``: two O(n) arrays and
+        a binary search per point.  ``Constant`` and ``Critical`` override
+        it with closed forms that need no O(n) memory.
+        """
+        return _TableHazard(self.prefix_probs(n))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -79,6 +99,188 @@ class Schedule:
     def _require_step(n: int) -> None:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"step index must be an integer >= 1, got {n!r}")
+
+
+class _TableHazard:
+    """``Schedule.hazard`` by table: nc and the forced steps as O(n) arrays."""
+
+    def __init__(self, h):
+        # h holds p_1..p_n and becomes the per-step hazards in place
+        h[0] = 0.0
+        self._forced = np.flatnonzero(h >= 1.0) + 1
+        h[self._forced - 1] = 0.0  # -log(0) would poison the cumsum
+        np.negative(h, out=h)
+        np.log1p(h, out=h)
+        np.negative(h, out=h)
+        self._nc = np.empty(h.size + 1)
+        self._nc[0] = 0.0
+        np.cumsum(h, out=self._nc[1:])
+
+    def at(self, t):
+        return self._nc[t]
+
+    def step(self, x, lo, hi):
+        return np.searchsorted(self._nc[lo:hi + 1], x) + lo
+
+    def n_forced(self, t):
+        return int(np.searchsorted(self._forced, t, side="right"))
+
+    def forced(self, lo, hi):
+        return self._forced[self.n_forced(lo):self.n_forced(hi)]
+
+
+def _settle(at, x, t):
+    """Move each guess t, off by a few steps, to min{t : at(t) >= x}."""
+    while (over := at(t - 1) >= x).any():
+        t -= over
+    while (under := at(t) < x).any():
+        t += under
+    return t
+
+
+def _constant_step(x, h):
+    """min{t : (t - 1) h >= x} for h > 0 and x > 0: ceil(x / h) + 1, settled.
+
+    The steps stay in float64, exact below 2^53, until the end.
+    """
+    t = np.divide(x, h)
+    np.ceil(t, out=t)
+    t += 1
+    return _settle(lambda s: (s - 1) * h, x, t).astype(np.int64)
+
+
+class _ForcedSpan:
+    """Forced steps that form one run, first..last (empty when first > last)."""
+
+    def __init__(self, first, last):
+        self._first, self._last = first, last
+
+    def n_forced(self, t):
+        return max(0, min(t, self._last) - self._first + 1)
+
+    def forced(self, lo, hi):
+        return np.arange(max(lo + 1, self._first), min(hi, self._last) + 1)
+
+
+class _ConstantHazard(_ForcedSpan):
+    """nc(t) = max(t - 1, 0) h with h = -log(1 - p); every step forced at p = 1."""
+
+    def __init__(self, p, n):
+        p = float(p)
+        super().__init__(2, n if p == 1 else 1)
+        self._h = 0.0 if p == 1 else -math.log1p(-p)
+
+    def at(self, t):
+        return np.maximum(np.asarray(t) - 1, 0) * self._h
+
+    def step(self, x, lo, hi):
+        return _constant_step(x, self._h)
+
+
+# B_0..B_6, for the Bernoulli polynomials of the Critical tail's series
+_BERNOULLI = (1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42)
+
+
+class _CriticalHazard(_ForcedSpan):
+    """nc for ``Critical(a, n0, prefix_p)`` in closed form.
+
+    Steps 2..n0-1 take the constant form at rate ``prefix_p``, and step n0
+    is forced when a == n0.  From the first tail step m on (n0, or n0 + 1
+    when step n0 is forced, and at least 2), nc(t) - nc(m - 1) =
+    sum_{j=m}^{t} -log(1 - a/j) = F(t) - F(m - 1) with
+    F(t) = log Gamma(t + 1) - log Gamma(t + 1 - a).  The two lgamma terms
+    cancel at large t (at t = 10^9 one step's hazard is lost in their
+    rounding), so F is summed exactly in a short table up to about
+    64 max(a, 1) and continued by its asymptotic series in z = t + 1 - a,
+
+        F = a log z + sum_{k=1}^{6} (-1)^(k+1) (B_{k+1}(a) - B_{k+1}(0)) / (k (k+1) z^k)
+
+    with B_k the Bernoulli polynomials; at z >= 64 max(a, 1) the dropped
+    terms are below 4e-15 a.  For a == 1 the series vanishes and the tail is
+    log t exactly.  The inverse takes an exp guess and settles it by +-1
+    steps.
+    """
+
+    def __init__(self, a, n0, prefix_p, n):
+        a, prefix_p = float(a), float(prefix_p)
+        forced_n0 = a == n0
+        super().__init__(2 if prefix_p == 1 else max(n0, 2), n0 - 1 + forced_n0)
+        self._a = a
+        self._h0 = 0.0 if prefix_p == 1 else -math.log1p(-prefix_p)
+        self._pre = max(n0 - 2, 0)  # prefix steps 2..n0-1
+        self._m = max(n0 + forced_n0, 2)
+        if a == 1:
+            self._coef = ()
+            self._end = self._m - 1
+        else:
+            self._coef = tuple(
+                (-1) ** (k + 1) / (k * (k + 1))
+                * sum(math.comb(k + 1, j) * _BERNOULLI[j] * a ** (k + 1 - j)
+                      for j in range(k + 1))
+                for k in range(1, 7))
+            self._end = max(self._m - 1, min(n, math.ceil(64 * max(a, 1))))
+        # table[i] = nc(m - 1 + i) for m - 1 + i <= end, built in place:
+        # j = m..end becomes -log(1 - a/j), then the cumsum from nc(m - 1)
+        self._table = np.arange(self._m - 1, self._end + 1, dtype=float)
+        tail = self._table[1:]
+        np.divide(-a, tail, out=tail)
+        np.log1p(tail, out=tail)
+        np.negative(tail, out=tail)
+        self._table[0] = self._pre * self._h0
+        np.cumsum(self._table, out=self._table)
+        self._c = float(self._table[-1] - self._f(np.float64(self._end + 1 - a)))
+
+    def _f(self, z):
+        """F up to a constant: a log z plus the series in 1/z (Horner)."""
+        f = np.log(z)
+        f *= self._a
+        if self._coef:
+            w = 1.0 / z
+            s = w * self._coef[-1]
+            for c in reversed(self._coef[:-1]):
+                s += c
+                s *= w
+            f += s
+        return f
+
+    def at(self, t):
+        t = int(t)
+        if t > self._end:
+            return self._f(np.float64(t + (1 - self._a))) + self._c
+        if t >= self._m:
+            return self._table[t - (self._m - 1)]
+        return np.float64(min(max(t - 1, 0), self._pre) * self._h0)
+
+    def step(self, x, lo, hi):
+        x = np.asarray(x)
+        far = x > self._table[-1]
+        if far.all():  # the usual case: every point past the short table
+            return self._far_step(x)
+        t = np.zeros(x.shape, dtype=np.int64)  # nc(0) >= x: no hazard yet
+        t[far] = self._far_step(x[far])
+        pre = x <= self._table[0]
+        if self._h0 > 0:
+            t[pre] = _constant_step(x[pre], self._h0)
+        mid = ~pre & ~far
+        t[mid] = np.searchsorted(self._table, x[mid]) + (self._m - 1)
+        return t
+
+    def _far_step(self, x):
+        """The inverse past the short table, with steps in float64."""
+        a, end, c, top = self._a, self._end, self._c, self._table[-1]
+        # a log z = x - c gives z0, and the series' a(a - 1)/(2z) term moves
+        # the root t = z - 1 + a to about z0 + (a - 1)/2
+        t = np.exp((x - c) / a)
+        t += (a - 1) / 2
+        np.ceil(t, out=t)
+        np.maximum(t, end + 1, out=t)
+
+        def at(s):
+            f = self._f(s + (1 - a))
+            f += c
+            f[s <= end] = top
+            return f
+        return _settle(at, x, t).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -97,6 +299,9 @@ class Constant(Schedule):
 
     def prefix_probs(self, n: int) -> np.ndarray:
         return np.full(n, float(self.p))
+
+    def hazard(self, n: int):
+        return _ConstantHazard(self.p, n)
 
     def to_json(self) -> dict:
         return {"kind": "Constant", "p": float(self.p)}
@@ -140,6 +345,9 @@ class Critical(Schedule):
         np.divide(float(self.a), tail, out=tail)
         out[:self.n0 - 1] = float(self.prefix_p)
         return out
+
+    def hazard(self, n: int):
+        return _CriticalHazard(self.a, self.n0, self.prefix_p, n)
 
     def to_json(self) -> dict:
         return {"kind": "Critical", "a": float(self.a), "n0": self.n0,

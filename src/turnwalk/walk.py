@@ -44,12 +44,17 @@ interval of length h_j on the cumulative-hazard axis: the steps hit by a
 unit-rate Poisson process there have exactly the law of the redraw set.
 Steps with p_j = 1 own no interval and are added as forced redraws, as is
 step 1.  This is the discrete analogue of thinning
-(Lewis & Shedler, 1979).  Given its count K ~ Poisson(H), the process's
-points are sorted uniforms over the hazard range H, drawn as normalized
-exponential spacings (Devroye 1986), so a path's runs come out sorted
-without a sort or a sequential loop.  A step hit twice keeps a zero-length
-run with its own direction; only the last draw at a step moves the walk, so
-the law is unchanged.  Paths are processed in (paths x runs) blocks of
+(Lewis & Shedler, 1979).  A point x lands on step min{t : nc(t) >= x},
+nc the cumulative hazard; the schedule supplies nc, this inverse and its
+forced steps (``Schedule.hazard``).  ``Constant`` and ``Critical`` invert
+nc in closed form, so their horizons need no O(n) memory; the other
+families look the point up by binary search in an O(n) table of nc.
+Given its count K ~ Poisson(H), the process's points are sorted uniforms
+over the hazard range H, drawn as normalized exponential spacings
+(Devroye 1986), so a path's runs come out sorted without a sort or a
+sequential loop.  A step hit twice keeps a zero-length run with its own
+direction; only the last draw at a step moves the walk, so the law is
+unchanged.  Paths are processed in (paths x runs) blocks of
 bounded size, and a horizon too long for one block is cut into segments
 that each path crosses carrying its position and direction; snapshot times
 and change-window bounds also end segments, so a snapshot is a carried
@@ -87,7 +92,8 @@ __all__ = [
 ]
 
 # Cells (paths x runs) in one block of the run engine; its memory beyond
-# the O(n) hazard table and the per-path state is a fixed multiple of this.
+# the per-path state (and, for a schedule without a closed-form hazard, the
+# O(n) hazard table) is a fixed multiple of this.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -464,28 +470,6 @@ def _headings(d, schedule, n, samples, rng):
         yield k, code
 
 
-def _hazard_table(schedule, n):
-    """Cumulative hazard ``nc`` and the sorted forced (p == 1) steps.
-
-    The hazard starts at step 2, as step 1 draws the starting heading:
-    nc[t] = sum over 2 <= j <= t of -log(1 - p_j), with p_j == 1 steps
-    adding zero since -log(0) would poison the cumsum; those steps are
-    listed in ``forced`` instead.  The hazards are computed in place in the
-    ``prefix_probs`` array, so the working set is two O(n) float arrays.
-    """
-    h = schedule.prefix_probs(n)
-    h[0] = 0.0
-    forced = np.flatnonzero(h >= 1.0) + 1
-    h[forced - 1] = 0.0
-    np.negative(h, out=h)
-    np.log1p(h, out=h)
-    np.negative(h, out=h)
-    nc = np.empty(n + 1)
-    nc[0] = 0.0
-    np.cumsum(h, out=nc[1:])
-    return nc, forced
-
-
 @dataclass(frozen=True)
 class VisitStats:
     """Per-horizon visit statistics over a batch of paths.
@@ -514,10 +498,12 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     construction.
 
     The work runs in blocks of at most about ``_BLOCK_CELLS`` (paths x runs)
-    cells, so beyond the O(n) hazard table and O(samples) per-path state
-    and results, memory grows with neither ``samples`` nor ``n``.  The steps
-    are cut into segments of at most half a block of expected redraws each;
-    a path crosses a segment boundary carrying its position and direction.
+    cells, so beyond O(samples) per-path state and results, memory grows
+    with neither ``samples`` nor ``n``; only a schedule without a
+    closed-form hazard (not ``Constant`` or ``Critical``) adds its O(n)
+    hazard table.  The steps are cut into segments of at most half a block
+    of expected redraws each; a path crosses a segment boundary carrying its
+    position and direction.
     """
     _check_dimension(d)
     if n < 1:
@@ -555,7 +541,7 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     return VisitStats(counts, late)
 
 
-def _segments(nc, forced, n, cuts=()):
+def _segments(hz, n, cuts=()):
     """Step ranges (lo, hi] covering 1..n with at most half a block of load.
 
     A segment's load is its expected Poisson points plus its forced steps.
@@ -564,7 +550,7 @@ def _segments(nc, forced, n, cuts=()):
     step in ``cuts`` inside (0, n) also ends a segment.
     """
     def load(t):
-        return nc[t] + np.searchsorted(forced, t, side="right")
+        return hz.at(t) + hz.n_forced(t)
 
     total = load(n)
     parts = max(1, math.ceil(total / (_BLOCK_CELLS // 2)))
@@ -603,16 +589,15 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
     * ``q`` (d, b, m): position minus ``target`` before each run, per
       coordinate, and ``end`` (b, d): the same after step hi.
     """
-    nc, forced = _hazard_table(schedule, n)
+    hz = schedule.hazard(n)
     target = (0,) * d if target is None else target
     # |position - target|_1 <= n + |target|_1 bounds every engine integer
     dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64
     rel = np.tile(-np.asarray(target, dtype=dtype), (samples, 1))
     heading = rng.integers(0, 2 * d, samples, dtype=_code_dtype(d))
-    for lo, hi in _segments(nc, forced, n, cuts):
-        seg_forced = forced[np.searchsorted(forced, lo, side="right"):
-                            np.searchsorted(forced, hi, side="right")]
-        k = rng.poisson(nc[hi] - nc[lo], samples)
+    for lo, hi in _segments(hz, n, cuts):
+        seg_forced = hz.forced(lo, hi)
+        k = rng.poisson(hz.at(hi) - hz.at(lo), samples)
         order = np.argsort(k, kind="stable")
         k = k[order]
         r0 = 0
@@ -620,7 +605,7 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
             cells = np.arange(1, samples - r0 + 1) * (k[r0:] + seg_forced.size + 2)
             r1 = r0 + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
             rows = order[r0:r1]
-            starts, dirs = _block_runs(d, nc, lo, hi, seg_forced, k[r0:r1],
+            starts, dirs = _block_runs(d, hz, lo, hi, seg_forced, k[r0:r1],
                                        heading, rows, dtype, rng)
             length = np.diff(starts, axis=1)
             axis = dirs >> 1
@@ -638,7 +623,7 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
             r0 = r1
 
 
-def _block_runs(d, nc, lo, hi, seg_forced, k, heading, rows, dtype, rng):
+def _block_runs(d, hz, lo, hi, seg_forced, k, heading, rows, dtype, rng):
     """Run starts and direction codes of paths ``rows`` over steps lo + 1..hi.
 
     Path r's redraws are ``k[r]`` Poisson points in hazard time, placed as
@@ -648,15 +633,17 @@ def _block_runs(d, nc, lo, hi, seg_forced, k, heading, rows, dtype, rng):
     """
     b = k.size
     width = int(k[-1])
-    base = nc[lo]
+    base, top = hz.at(lo), hz.at(hi)
     spacings = rng.standard_exponential((b, width + 1))
     np.cumsum(spacings, axis=1, out=spacings)
-    scale = (nc[hi] - base) / spacings[np.arange(b), k]
+    scale = (top - base) / spacings[np.arange(b), k]
     points = spacings[:, :width]
     points *= scale[:, None]
     points += base
-    steps = np.searchsorted(nc[lo:hi + 1], points)
-    steps += lo
+    # row r's points beyond k[r] overshoot the segment and are dropped
+    # below; capped, they keep a closed-form inverse finite
+    np.minimum(points, top, out=points)
+    steps = hz.step(points, lo, hi)
     np.clip(steps, lo + 1, hi, out=steps)  # rounding at the ends
     del spacings, points
     # row r's points beyond k[r] pad with hi + 1: zero-length runs at the end

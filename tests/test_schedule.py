@@ -1,9 +1,10 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from turnwalk.schedule import (
     Constant,
@@ -12,6 +13,7 @@ from turnwalk.schedule import (
     Periodic,
     PowerDecay,
     Regime,
+    Schedule,
     classify_regime,
     schedule_from_json,
     schedule_to_json,
@@ -121,6 +123,66 @@ def test_prefix_probs_fills_its_output_in_place(s):
 ]), st.integers(min_value=1, max_value=10 ** 6))
 def test_p_at_always_a_probability(schedule, n):
     assert 0.0 <= schedule.p_at(n) <= 1.0
+
+
+_PROBS = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+
+_ALL_FAMILIES = st.one_of(
+    st.builds(Constant, _PROBS),
+    # a is capped at n0, so a == n0 (step n0 forced) comes up often
+    st.builds(lambda n0, a, prefix_p: Critical(min(a, n0), n0, prefix_p),
+              st.integers(1, 6),
+              st.one_of(st.sampled_from([0.7, 1.0, 2.0, 2.5]), st.floats(0.01, 6.0)),
+              _PROBS),
+    st.builds(PowerDecay, st.floats(0.05, 1.0), st.floats(0.05, 0.95),
+              st.integers(1, 5), _PROBS),
+    st.builds(Periodic, st.lists(_PROBS, min_size=1, max_size=4), st.integers(1, 6),
+              _PROBS),
+    st.builds(Explicit, st.lists(_PROBS, min_size=1, max_size=10)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ALL_FAMILIES, st.integers(1, 400), st.data())
+@example(Critical(0.7, n0=3, prefix_p=0.4), 2_000, None)
+@example(Critical(2.5, n0=3, prefix_p=0.0), 2_000, None)
+@example(Critical(2.0, n0=2), 2_000, None)
+@example(Critical(1.0), 2_000, None)
+def test_hazard_step_inverts_at_and_matches_the_table(schedule, n, data):
+    hz = schedule.hazard(n)
+    nc = np.array([hz.at(t) for t in range(n + 1)])
+    assert nc[0] == 0.0 and np.all(np.diff(nc) >= 0)
+    # the inverse at each boundary nc(t) and one ulp to either side
+    x = np.concatenate([nc, np.nextafter(nc, np.inf), np.nextafter(nc, -np.inf)])
+    lo, hi = 0, n
+    if data is not None:
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+    x = x[(x > nc[lo]) & (x <= nc[hi])]
+    assert np.array_equal(hz.step(x, lo, hi), np.searchsorted(nc, x))
+    # the base class's table: the same hazard up to its cumsum drift, the
+    # same steps for random points and the same forced steps
+    table = Schedule.hazard(schedule, n)
+    assert np.allclose(nc, [table.at(t) for t in range(n + 1)],
+                       rtol=1e-10, atol=1e-12)
+    points = np.random.default_rng(n).uniform(0.0, nc[n], 1_000)
+    points = points[points > 0]
+    assert np.array_equal(hz.step(points, 0, n), table.step(points, 0, n))
+    p = schedule.prefix_probs(n)
+    forced = [s for s in range(2, n + 1) if p[s - 1] >= 1.0]
+    assert hz.forced(lo, hi).tolist() == [s for s in forced if lo < s <= hi]
+    assert hz.forced(0, n).tolist() == table.forced(0, n).tolist() == forced
+    assert [hz.n_forced(s) for s in range(n + 1)] == \
+        [sum(f <= s for f in forced) for s in range(n + 1)]
+
+
+@pytest.mark.parametrize("t", [10 ** 4, 10 ** 7, 10 ** 9])
+@pytest.mark.parametrize("a", [0.7, 1.0, 2.5])
+def test_critical_tail_per_step_hazard(a, t):
+    # at(t) is about a log t while one step adds about a/t: the tail must
+    # not come from the difference of two lgamma terms, which cancel
+    hz = Critical(a, n0=math.ceil(a)).hazard(10 ** 9)
+    assert hz.at(t) - hz.at(t - 1) == pytest.approx(-math.log1p(-a / t), rel=1e-5)
 
 
 def test_json_round_trip():

@@ -364,6 +364,8 @@ _VISIT_SCHEDULES = {
     "const-one": Constant(1.0),
     "forced-and-frozen": Explicit((0.4, 1.0, 0.3, 0.0, 1.0, 0.6, 0.0)),
     "critical": Critical(1.0, n0=2),
+    "critical-prefix": Critical(0.7, n0=3, prefix_p=0.4),
+    "critical-forced-n0": Critical(2.0, n0=2),
     "power": PowerDecay(1.0, 0.7),
 }
 
@@ -392,8 +394,7 @@ def test_visit_stats_exact_law_across_blocks(monkeypatch, d, target, name):
     # carrying its position and direction over each
     monkeypatch.setattr(walk, "_BLOCK_CELLS", 4)
     schedule = _VISIT_SCHEDULES[name]
-    nc, forced = walk._hazard_table(schedule, 7)
-    assert len(walk._segments(nc, forced, 7)) >= 2
+    assert len(walk._segments(schedule.hazard(7), 7)) >= 2
     assert _visit_stats_pvalue(d, schedule, 7, target, 121, samples=4_000) > 1e-3
 
 
@@ -440,9 +441,10 @@ def test_forced_lookup_matches_reference_loop(values, n):
     with np.errstate(divide="ignore"):
         hazard = -np.log1p(-np.where(p >= 1.0, 0.0, p))
     hazard[0] = 0.0  # step 1 draws the starting heading
-    nc, got = walk._hazard_table(schedule, n)
-    assert got.tolist() == forced
-    assert np.array_equal(nc, np.concatenate([[0.0], np.cumsum(hazard)]))
+    hz = schedule.hazard(n)
+    assert hz.forced(0, n).tolist() == forced
+    assert np.array_equal([hz.at(t) for t in range(n + 1)],
+                          np.concatenate([[0.0], np.cumsum(hazard)]))
 
 
 def _exact_positions_law(d, schedule, n, times, window, redraws=False):
@@ -471,6 +473,7 @@ _POSITION_CASES = [
     (2, _VISIT_SCHEDULES["const-half"], 6, (4, 6), (3, 5)),
     (1, _VISIT_SCHEDULES["critical"], 7, (5, 7), (1, 7)),
     (2, _VISIT_SCHEDULES["power"], 5, (1, 5), (2, 4)),
+    (1, _VISIT_SCHEDULES["critical-prefix"], 7, (2, 7), (1, 7)),
 ]
 
 
@@ -587,8 +590,8 @@ def test_simulate_events_times_increase_from_one(schedule, d, n, seed, cells):
 
 @pytest.mark.parametrize("n, samples", [(4_000_000, 1), (100_000, 2_000)])
 def test_visit_stats_memory_bounded(n, samples):
-    # one long path spans many blocks; many paths fill many blocks.  Beyond
-    # the O(n) schedule and hazard arrays, memory stays under a fixed cap.
+    # one long path spans many blocks; many paths fill many blocks.  A
+    # constant rate needs no hazard table, so memory stays under a fixed cap.
     tracemalloc.start()
     try:
         walk.sample_visit_stats(2, Constant(0.5), n, samples, _rng(7),
@@ -596,7 +599,54 @@ def test_visit_stats_memory_bounded(n, samples):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - 2 * 8 * (n + 1) < 32e6
+    assert peak < 32e6
+
+
+def test_critical_visits_to_a_billion_steps_in_small_memory():
+    # one path of Critical(1) to 10^9 has about 21 redraws; a table of the
+    # cumulative hazard alone would take 8 GB
+    tracemalloc.start()
+    try:
+        stats = walk.sample_visit_stats(2, Critical(1.0), 10 ** 9, 1, _rng(7),
+                                        horizons=(10 ** 6, 10 ** 9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.counts[10 ** 6] <= stats.counts[10 ** 9]
+    assert peak < 1e6
+
+
+def test_simulate_events_memory_in_the_redraws():
+    # Constant(1e-3) to 10^8: about 10^5 redraws, kept as events; memory
+    # goes with them, not with the 10^8 steps
+    n, p = 10 ** 8, 1e-3
+    tracemalloc.start()
+    try:
+        path = walk.simulate_events(2, Constant(p), n, _rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(len(path.events) - n * p) < 5 * math.sqrt(n * p)
+    assert peak < 400 * n * p
+
+
+@pytest.mark.parametrize("schedule", [Critical(0.7, n0=3, prefix_p=0.4),
+                                      Critical(2.5, n0=3)])
+def test_run_engine_redraw_law_past_the_short_table(schedule):
+    # steps 201..1000 lie past the exact short sum of the Critical tail,
+    # where the run engine inverts its asymptotic series: the count of
+    # distinct redraw steps there is a sum of independent Bernoulli(a/j)
+    n, w = 1_000, 200
+    counts = np.zeros(100_000, dtype=np.int64)
+    for _lo, _hi, rows, starts, length, *_ in walk._runs(1, schedule, n, counts.size,
+                                                         _rng(151)):
+        redraw = (length[:, 1:] > 0) & (starts[:, 1:-1] > w)
+        counts[rows] += np.count_nonzero(redraw, axis=1)
+    law = np.array([1.0])
+    for j in range(w + 1, n + 1):
+        p = schedule.a / j
+        law = np.append(law * (1 - p), 0.0) + np.append(0.0, law * p)
+    assert _chi_square_pvalue(counts[:, None], {(k,): q for k, q in enumerate(law)}) > 1e-3
 
 
 def test_visits_straight_path():
