@@ -120,6 +120,8 @@ def _cmd_zigzag(args) -> int:
         raise ValueError("give exactly one of --b or --a")
     if args.grid is not None:
         verify._check_samples(args.grid, 1, "grid")
+    if not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise ValueError(f"--horizon must be a positive finite horizon T, got {args.horizon}")
     b = args.b if args.b is not None else zigzag.b_from_a(args.a, args.d)
     rng = verify.stream_rng(args.seed, "zigzag", 0)
     ppp = zigzag.sample_ppp(b, args.epsilon, args.horizon, rng)

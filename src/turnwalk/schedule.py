@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -82,9 +83,10 @@ class Schedule:
         * ``forced(lo, hi)``: the forced steps in (lo, hi], sorted, and
           ``n_forced(t)``, how many lie in [2, t].
 
-        This default tabulates nc from ``prefix_probs``: two O(n) arrays and
-        a binary search per point.  ``Constant`` and ``Critical`` override
-        it with closed forms that need no O(n) memory.
+        This default tabulates nc from ``prefix_probs`` and finds each
+        point's step by indexed search in a guide table (``_TableHazard``):
+        O(n) memory and O(1) expected probes per point.  ``Constant`` and
+        ``Critical`` override it with closed forms that need no O(n) memory.
         """
         return _TableHazard(self.prefix_probs(n))
 
@@ -101,26 +103,90 @@ class Schedule:
             raise ValueError(f"step index must be an integer >= 1, got {n!r}")
 
 
+# Points per chunk of ``_TableHazard.step`` (and steps per chunk of its guide):
+# its temporaries are a few arrays of this length
+_CHUNK = 1 << 14
+# Forward probes of ``_TableHazard.step`` before a point falls back to a
+# binary search
+_PROBES = 4
+
+
 class _TableHazard:
-    """``Schedule.hazard`` by table: nc and the forced steps as O(n) arrays."""
+    """``Schedule.hazard`` by table: nc, its guide and the forced steps as O(n) arrays.
+
+    ``step`` is an indexed search (Chen & Asau 1974; Devroye 1986, III.2.4).
+    ``_bin`` cuts [0, nc(n)) into n bins of equal width, and guide[i] is the
+    first step t whose nc(t) lies in bin i or above.  ``_bin`` is monotone,
+    so guide[_bin(x)] never passes min{t : nc(t) >= x}, and a walk forward
+    from it ends there: for x >= 0 the result equals
+    ``np.searchsorted(nc, x)``.  The engine's points are uniform on the
+    hazard axis and the bins hold about one step each, so a point takes
+    under two probes on average.  A bin that holds many steps cannot stall
+    the walk: after ``_PROBES`` rounds its points are finished by binary
+    search.
+    """
 
     def __init__(self, h):
         # h holds p_1..p_n and becomes the per-step hazards in place
+        n = h.size
         h[0] = 0.0
         self._forced = np.flatnonzero(h >= 1.0) + 1
         h[self._forced - 1] = 0.0  # -log(0) would poison the cumsum
         np.negative(h, out=h)
         np.log1p(h, out=h)
         np.negative(h, out=h)
-        self._nc = np.empty(h.size + 1)
+        # nc(0..n), then +inf, where every forward walk stops
+        self._nc = np.empty(n + 2)
         self._nc[0] = 0.0
-        np.cumsum(h, out=self._nc[1:])
+        np.cumsum(h, out=self._nc[1:n + 1])
+        self._nc[n + 1] = np.inf
+        self._n = n
+        total = float(self._nc[n])
+        # no hazard, or so little that n / total overflows: one bin, and
+        # every point goes to the binary search
+        self._scale = n / total if total > n / sys.float_info.max else 0.0
+        # guide[i] = t for the bins i in (_bin(nc(t - 1)), _bin(nc(t))],
+        # filled a chunk of steps at a time; bins past _bin(nc(n)) get n + 1
+        self._guide = np.empty(n + 1, dtype=np.int32 if n < 2 ** 31 - 1 else np.int64)
+        self._guide[0] = 0
+        filled = 0
+        for a in range(1, n + 1, _CHUNK):
+            b = min(a + _CHUNK, n + 1)
+            key = self._bin(self._nc[a:b])
+            top = int(key[-1])
+            self._guide[filled + 1:top + 1] = np.repeat(
+                np.arange(a, b, dtype=self._guide.dtype), np.diff(key, prepend=filled))
+            filled = top
+        self._guide[filled + 1:] = n + 1
+
+    def _bin(self, v):
+        """The guide bin of each hazard v >= 0: min(floor(v n / nc(n)), n)."""
+        key = v * self._scale
+        np.minimum(key, self._n, out=key)
+        return key.astype(np.intp)
 
     def at(self, t):
         return self._nc[t]
 
     def step(self, x, lo, hi):
-        return np.searchsorted(self._nc[lo:hi + 1], x) + lo
+        out = np.empty(np.shape(x), dtype=np.intp)
+        nc = self._nc
+        # x in chunks of at most _CHUNK points; a strided x (the engine's
+        # block of points) is copied a chunk at a time
+        with np.nditer([x, out], flags=["external_loop", "buffered", "zerosize_ok"],
+                       op_flags=[["readonly"], ["writeonly"]], op_dtypes=[float, np.intp],
+                       buffersize=_CHUNK) as chunks:
+            for xs, t in chunks:
+                t[...] = self._guide[self._bin(xs)]
+                short = (nc[t] < xs).nonzero()[0]
+                for _ in range(_PROBES):
+                    if not short.size:
+                        break
+                    t[short] += 1
+                    short = short[nc[t[short]] < xs[short]]
+                if short.size:
+                    t[short] = np.searchsorted(nc, xs[short])
+        return out
 
     def n_forced(self, t):
         return int(np.searchsorted(self._forced, t, side="right"))

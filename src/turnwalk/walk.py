@@ -48,7 +48,8 @@ step 1.  This is the discrete analogue of thinning
 nc the cumulative hazard; the schedule supplies nc, this inverse and its
 forced steps (``Schedule.hazard``).  ``Constant`` and ``Critical`` invert
 nc in closed form, so their horizons need no O(n) memory; the other
-families look the point up by binary search in an O(n) table of nc.
+families look the point up by indexed search in an O(n) table of nc and
+its guide, in O(1) expected probes.
 Given its count K ~ Poisson(H), the process's points are sorted uniforms
 over the hazard range H, drawn as normalized exponential spacings
 (Devroye 1986), so a path's runs come out sorted without a sort or a
@@ -95,6 +96,11 @@ __all__ = [
 # the per-path state (and, for a schedule without a closed-form hazard, the
 # O(n) hazard table) is a fixed multiple of this.
 _BLOCK_CELLS = 1 << 18
+
+# The last (schedule, n) the run engine ran and its ``schedule.hazard(n)``:
+# ``simulate_events``, called once per path, builds each hazard table once.
+# Schedules are frozen, so equal keys have equal hazards.
+_HAZARDS = {}
 
 
 @dataclass(frozen=True)
@@ -501,7 +507,8 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     cells, so beyond O(samples) per-path state and results, memory grows
     with neither ``samples`` nor ``n``; only a schedule without a
     closed-form hazard (not ``Constant`` or ``Critical``) adds its O(n)
-    hazard table.  The steps are cut into segments of at most half a block
+    hazard table, which stays cached until the engine runs another
+    schedule or horizon.  The steps are cut into segments of at most half a block
     of expected redraws each; a path crosses a segment boundary carrying its
     position and direction.
     """
@@ -589,7 +596,10 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
     * ``q`` (d, b, m): position minus ``target`` before each run, per
       coordinate, and ``end`` (b, d): the same after step hi.
     """
-    hz = schedule.hazard(n)
+    hz = _HAZARDS.get((schedule, n))
+    if hz is None:
+        _HAZARDS.clear()  # at most one O(n) table alive, even while building
+        hz = _HAZARDS[schedule, n] = schedule.hazard(n)
     target = (0,) * d if target is None else target
     # |position - target|_1 <= n + |target|_1 bounds every engine integer
     dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64

@@ -274,6 +274,15 @@ def test_zigzag_infinite_horizon_exit_2(capsys, recwarn, extra):
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize("horizon", ["inf", "nan", "0", "-1"])
+def test_zigzag_bad_horizon_names_its_flag(capsys, horizon):
+    # the message blames --horizon, not an --epsilon the user never gave
+    rc, out, err = _run(capsys, ["zigzag", "--d", "1", "--b", "1", "--horizon", horizon])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--horizon" in err
+
+
 # --- classify ---
 
 def test_classify_json(capsys):

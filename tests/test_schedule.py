@@ -148,8 +148,16 @@ _ALL_FAMILIES = st.one_of(
 @example(Critical(2.5, n0=3, prefix_p=0.0), 2_000, None)
 @example(Critical(2.0, n0=2), 2_000, None)
 @example(Critical(1.0), 2_000, None)
+# the table's guide: a subnormal total (n / nc(n) overflows), no hazard at
+# all, one bin that spans almost every step, and the benchmark's PowerDecay
+@example(Periodic((2.225073858507203e-309,), 1, 0.0), 2, None)
+@example(Explicit((0.5, 0.0)), 10, None)
+@example(Explicit((0.5, 1 - 1e-12, 1e-9)), 10_000, None)
+@example(PowerDecay(1.0, 0.7), 100_000, None)
 def test_hazard_step_inverts_at_and_matches_the_table(schedule, n, data):
     hz = schedule.hazard(n)
+    empty = hz.step(np.empty((3, 0)), 0, n)  # a block of width 0
+    assert empty.shape == (3, 0) and empty.dtype.kind == "i"
     nc = np.array([hz.at(t) for t in range(n + 1)])
     assert nc[0] == 0.0 and np.all(np.diff(nc) >= 0)
     # the inverse at each boundary nc(t) and one ulp to either side
@@ -174,6 +182,41 @@ def test_hazard_step_inverts_at_and_matches_the_table(schedule, n, data):
     assert hz.forced(0, n).tolist() == table.forced(0, n).tolist() == forced
     assert [hz.n_forced(s) for s in range(n + 1)] == \
         [sum(f <= s for f in forced) for s in range(n + 1)]
+
+
+def test_table_hazard_memory():
+    # the table keeps nc (8 bytes a step) and its guide (4 bytes a step);
+    # the guide is built a chunk of steps at a time
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        hz = PowerDecay(1.0, 0.7).hazard(n)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hz.at(n) > 0
+    assert peak <= 24e6
+    assert kept <= 12 * n + 2 ** 16
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided rows"])
+def test_table_hazard_step_memory(layout):
+    # the lookup's temporaries are chunk-sized: step allocates about what a
+    # binary search allocates for its output alone
+    hz = PowerDecay(1.0, 0.7).hazard(100_000)
+    x = np.sort(np.random.default_rng(4).uniform(0.0, hz.at(100_000), 1 << 18))
+    if layout == "strided rows":  # the engine's points: a (rows, width) view
+        x = np.pad(x.reshape(1 << 14, 16), ((0, 0), (0, 1)))[:, :16]
+    flat = np.ascontiguousarray(x)
+    peaks = []
+    for search in (lambda: np.searchsorted(hz._nc, flat), lambda: hz.step(x, 0, 100_000)):
+        tracemalloc.start()
+        try:
+            search()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1e6
 
 
 @pytest.mark.parametrize("t", [10 ** 4, 10 ** 7, 10 ** 9])

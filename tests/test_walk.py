@@ -630,6 +630,30 @@ def test_simulate_events_memory_in_the_redraws():
     assert peak < 400 * n * p
 
 
+def test_run_engine_builds_each_hazard_table_once(monkeypatch):
+    # simulate_events runs the engine once per path: the same (schedule, n)
+    # reuses its table, a new n rebuilds it, and the old table is dropped
+    # before the new one is built
+    monkeypatch.setattr(walk, "_HAZARDS", {})
+    built = []
+    prefix_probs = PowerDecay.prefix_probs
+
+    def counted(self, n):
+        built.append((n, len(walk._HAZARDS)))
+        return prefix_probs(self, n)
+
+    monkeypatch.setattr(PowerDecay, "prefix_probs", counted)
+    schedule, rng = PowerDecay(1.0, 0.7), _rng(5)
+    for _ in range(3):
+        walk.simulate_events(2, schedule, 1_000, rng)
+    assert built == [(1_000, 0)]
+    walk.simulate_events(2, PowerDecay(1.0, 0.7), 1_000, rng)
+    assert built == [(1_000, 0)]
+    walk.simulate_events(2, schedule, 500, rng)
+    assert built == [(1_000, 0), (500, 0)]
+    assert list(walk._HAZARDS) == [(schedule, 500)]
+
+
 @pytest.mark.parametrize("schedule", [Critical(0.7, n0=3, prefix_p=0.4),
                                       Critical(2.5, n0=3)])
 def test_run_engine_redraw_law_past_the_short_table(schedule):
