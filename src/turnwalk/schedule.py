@@ -77,9 +77,9 @@ class Schedule:
         * ``at(t)``: nc(t) = sum over 2 <= j <= t of -log(1 - p_j), for an
           integer 0 <= t <= n; step 1, which draws the starting heading,
           and the forced (p_j == 1) steps add 0;
-        * ``step(x, lo, hi)``: its inverse, min{t : nc(t) >= x} for each x
-          in (nc(lo), nc(hi)] (Devroye, *Non-Uniform Random Variate
-          Generation*, 1986, II.2);
+        * ``step(x)``: its inverse, min{t : nc(t) >= x} for each x in
+          (0, nc(n)] (Devroye, *Non-Uniform Random Variate Generation*,
+          1986, II.2);
         * ``forced(lo, hi)``: the forced steps in (lo, hi], sorted, and
           ``n_forced(t)``, how many lie in [2, t].
 
@@ -168,7 +168,7 @@ class _TableHazard:
     def at(self, t):
         return self._nc[t]
 
-    def step(self, x, lo, hi):
+    def step(self, x):
         out = np.empty(np.shape(x), dtype=np.intp)
         nc = self._nc
         # x in chunks of at most _CHUNK points; a strided x (the engine's
@@ -239,7 +239,7 @@ class _ConstantHazard(_ForcedSpan):
     def at(self, t):
         return np.maximum(np.asarray(t) - 1, 0) * self._h
 
-    def step(self, x, lo, hi):
+    def step(self, x):
         return _constant_step(x, self._h)
 
 
@@ -317,7 +317,7 @@ class _CriticalHazard(_ForcedSpan):
             return self._table[t - (self._m - 1)]
         return np.float64(min(max(t - 1, 0), self._pre) * self._h0)
 
-    def step(self, x, lo, hi):
+    def step(self, x):
         x = np.asarray(x)
         far = x > self._table[-1]
         if far.all():  # the usual case: every point past the short table

@@ -296,13 +296,19 @@ def tail_report(d: int, p: float, n: int, a: float, samples: int,
 
 def estimate_covariance(schedule: Schedule, i: int, j: int, samples: int,
                         seed: int = 0, shards: int = 1) -> EstimatorResult:
-    """Empirical E[Y_i Y_j] for the 1-d walk's step signs."""
+    """Empirical E[Y_i Y_j] for the 1-d walk's step signs.
+
+    Only steps i..j are simulated: the headings form a Markov chain whose
+    law at every step is uniform (each draw is), so a uniform heading run
+    through steps i + 1..j has the law of (Y_i, Y_j).  The closed form
+    prod (1 - p_k) is never used.
+    """
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
     _check_samples(samples)
     total = 0
     for size, rng in _sharded(samples, shards, seed, "covariance"):
-        for k, code in walk._headings(1, schedule, j, size, rng):
+        for k, code in walk._headings(1, schedule, j, size, rng, first=i):
             if k == i:
                 code_i = code.copy()
         # Y_i Y_j = +1 exactly when the 1-d headings at steps i and j agree
@@ -512,9 +518,11 @@ class VolkovResult:
 def _volkov_certify(p: float, j: int, horizon: int | None) -> tuple:
     """Pick/validate a horizon making truncation error < 1e-6.
 
-    Post-horizon misclassification needs either X_H < j + Delta (Hoeffding)
-    or a return of depth Delta from above (probability r^Delta, twice for
-    the two levels); Delta is fixed so the return part is below 5e-7.
+    Returns (horizon, reach, error), reach = j + Delta.  A walk is misjudged
+    only if it is stepped to H and X_H < reach (Hoeffding), or if it falls
+    Delta levels after its last step, taken at reach or above (r^Delta,
+    twice for the two levels): stopping walks at reach before H changes
+    neither term.  Delta is fixed so the fall part is below 5e-7.
     """
     r = (1.0 - p) / p
     mu = 2.0 * p - 1.0
@@ -532,10 +540,10 @@ def _volkov_certify(p: float, j: int, horizon: int | None) -> tuple:
     elif err(horizon) > 1e-6:
         raise ValueError(
             f"horizon {horizon} cannot certify truncation error < 1e-6 for p={p}, j={j}")
-    return horizon, err(horizon)
+    return horizon, j + delta, err(horizon)
 
 
-def _volkov_chunk(p: float, levels: tuple, c: int, horizon: int,
+def _volkov_chunk(p: float, levels: tuple, c: int, horizon: int, reach: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Pass-once flags of c walks, one row per level, streamed in blocks of time.
 
@@ -543,20 +551,29 @@ def _volkov_chunk(p: float, levels: tuple, c: int, horizon: int,
     so it passes l once exactly when it visits l once (gambler's ruin;
     Feller, Vol. 1, ch. XIV).  Each walk carries its position and one visit
     count per level: a fixed number of cells per walk, whatever the horizon.
+    A walk that ends a block at ``reach`` or above is stepped no further
+    (its later falls are charged by ``_volkov_certify``): later blocks draw
+    uniforms for the live walks only, and the chunk ends when none are left.
     """
     width = max(1, _VOLKOV_CELLS // c)
+    live = np.arange(c)
     x0 = np.zeros((c, 1), dtype=np.int32)
     visits = np.zeros((len(levels), c), dtype=np.int64)
     for t0 in range(0, horizon, width):
         w = min(width, horizon - t0)
-        steps = (rng.random((c, w)) < p).astype(np.int8) * 2 - 1
+        steps = (rng.random((live.size, w)) < p).astype(np.int8) * 2 - 1
         x = np.cumsum(steps, axis=1, dtype=np.int32)
         x += x0
         for k, level in enumerate(levels):
-            visits[k] += np.count_nonzero(x == level, axis=1)
-        # a copy, so the next block's uniforms never sit beside these positions
-        x0 = x[:, -1:].copy()
+            visits[k, live] += np.count_nonzero(x == level, axis=1)
+        # row selection copies, so the next block's uniforms never sit
+        # beside these positions
+        keep = x[:, -1] < reach
+        x0 = x[keep, -1:]
+        live = live[keep]
         del x
+        if not live.size:
+            break
     return visits == 1
 
 
@@ -570,7 +587,9 @@ def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
     Detection runs within a horizon certified so that post-horizon
     reversals, and walks that end it below a level visited once (counted
     as passed, X_H < j + Delta), add < 1e-6 misclassification mass;
-    horizon=None picks the smallest power-of-two that certifies.
+    horizon=None picks the smallest power-of-two that certifies.  Walks
+    stop once they end a time block at j + Delta or above, where only a
+    fall of Delta levels, already charged, could change their verdict.
     Returns estimators for P(pass i) and P(pass i and pass j).
     """
     if not 0.5 < p < 1.0:
@@ -578,13 +597,14 @@ def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
     if not 1 <= i < j:
         raise ValueError(f"need 1 <= i < j, got i={i}, j={j}")
     _check_samples(samples)
-    horizon, cert = _volkov_certify(p, j, horizon)
+    horizon, reach, cert = _volkov_certify(p, j, horizon)
     hits_i = 0
     hits_ij = 0
     chunk = 2048
     for size, rng in _sharded(samples, shards, seed, "volkov"):
         for done in range(0, size, chunk):
-            passed = _volkov_chunk(p, (i, j), min(chunk, size - done), horizon, rng)
+            passed = _volkov_chunk(p, (i, j), min(chunk, size - done), horizon,
+                                   reach, rng)
             hits_i += int(passed[0].sum())
             hits_ij += int((passed[0] & passed[1]).sum())
     single = _proportion_estimator(hits_i, samples, seed, shards)

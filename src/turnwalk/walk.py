@@ -460,16 +460,18 @@ def _code_dtype(d):
     return np.min_scalar_type(2 * d - 1)
 
 
-def _headings(d, schedule, n, samples, rng):
-    """The per-step engine: yield ``(k, code)`` after each step k = 1..n.
+def _headings(d, schedule, n, samples, rng, first=1):
+    """The per-step engine: yield ``(k, code)`` after each step k = first..n.
 
     ``code`` holds every path's direction code, encoded as in ``_runs``,
-    and is updated in place; callers copy what they keep.
+    and is updated in place; callers copy what they keep.  The heading at
+    step ``first`` is drawn uniform, its law at every step, so the window
+    first..n has the law of those steps of a whole path.
     """
     p = schedule.prefix_probs(n)
     code = rng.integers(0, 2 * d, samples).astype(_code_dtype(d))
-    yield 1, code
-    for k in range(2, n + 1):
+    yield first, code
+    for k in range(first + 1, n + 1):
         redraw = rng.random(samples) < p[k - 1]
         if redraw.any():
             code[redraw] = rng.integers(0, 2 * d, np.count_nonzero(redraw))
@@ -653,7 +655,7 @@ def _block_runs(d, hz, lo, hi, seg_forced, k, heading, rows, dtype, rng):
     # row r's points beyond k[r] overshoot the segment and are dropped
     # below; capped, they keep a closed-form inverse finite
     np.minimum(points, top, out=points)
-    steps = hz.step(points, lo, hi)
+    steps = hz.step(points)
     np.clip(steps, lo + 1, hi, out=steps)  # rounding at the ends
     del spacings, points
     # row r's points beyond k[r] pad with hi + 1: zero-length runs at the end

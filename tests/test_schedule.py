@@ -156,7 +156,7 @@ _ALL_FAMILIES = st.one_of(
 @example(PowerDecay(1.0, 0.7), 100_000, None)
 def test_hazard_step_inverts_at_and_matches_the_table(schedule, n, data):
     hz = schedule.hazard(n)
-    empty = hz.step(np.empty((3, 0)), 0, n)  # a block of width 0
+    empty = hz.step(np.empty((3, 0)))  # a block of width 0
     assert empty.shape == (3, 0) and empty.dtype.kind == "i"
     nc = np.array([hz.at(t) for t in range(n + 1)])
     assert nc[0] == 0.0 and np.all(np.diff(nc) >= 0)
@@ -167,7 +167,7 @@ def test_hazard_step_inverts_at_and_matches_the_table(schedule, n, data):
         lo = data.draw(st.integers(0, n - 1))
         hi = data.draw(st.integers(lo + 1, n))
     x = x[(x > nc[lo]) & (x <= nc[hi])]
-    assert np.array_equal(hz.step(x, lo, hi), np.searchsorted(nc, x))
+    assert np.array_equal(hz.step(x), np.searchsorted(nc, x))
     # the base class's table: the same hazard up to its cumsum drift, the
     # same steps for random points and the same forced steps
     table = Schedule.hazard(schedule, n)
@@ -175,7 +175,7 @@ def test_hazard_step_inverts_at_and_matches_the_table(schedule, n, data):
                        rtol=1e-10, atol=1e-12)
     points = np.random.default_rng(n).uniform(0.0, nc[n], 1_000)
     points = points[points > 0]
-    assert np.array_equal(hz.step(points, 0, n), table.step(points, 0, n))
+    assert np.array_equal(hz.step(points), table.step(points))
     p = schedule.prefix_probs(n)
     forced = [s for s in range(2, n + 1) if p[s - 1] >= 1.0]
     assert hz.forced(lo, hi).tolist() == [s for s in forced if lo < s <= hi]
@@ -209,7 +209,7 @@ def test_table_hazard_step_memory(layout):
         x = np.pad(x.reshape(1 << 14, 16), ((0, 0), (0, 1)))[:, :16]
     flat = np.ascontiguousarray(x)
     peaks = []
-    for search in (lambda: np.searchsorted(hz._nc, flat), lambda: hz.step(x, 0, 100_000)):
+    for search in (lambda: np.searchsorted(hz._nc, flat), lambda: hz.step(x)):
         tracemalloc.start()
         try:
             search()

@@ -245,7 +245,7 @@ def test_covariance_validation():
 def test_covariance_pinned_values():
     # any change to the per-step engine's draws or their order moves these
     r = verify.estimate_covariance(Constant(0.5), 2, 6, 50_000, seed=5, shards=3)
-    assert (repr(r.estimate), repr(r.std_error)) == ("0.0686", "0.004461645315976889")
+    assert (repr(r.estimate), repr(r.std_error)) == ("0.07084", "0.004460945178842458")
     r = verify.estimate_covariance(Critical(2.0, n0=3), 1, 9, 50_000, seed=13)
     assert (repr(r.estimate), repr(r.std_error)) == ("0.00436", "0.0044721381696450485")
 
@@ -438,7 +438,7 @@ def test_volkov_streams_first_hits_and_fall_backs(monkeypatch, cells):
     # two- and three-step blocks cut the walk around every event
     monkeypatch.setattr(verify, "_VOLKOV_CELLS", cells)
     ups = [1, 1, 1, 0, 1, 1, 1]
-    passed = verify._volkov_chunk(0.5, (3, 4, 5), 1, 7, _StepRng(ups))
+    passed = verify._volkov_chunk(0.5, (3, 4, 5), 1, 7, 6, _StepRng(ups))
     assert [bool(f[0]) for f in passed] == [False, True, True]
 
 
@@ -448,9 +448,49 @@ def test_volkov_passes_once_means_one_visit(monkeypatch, cells):
     # once and level 4 never, so only level 2 is passed once
     monkeypatch.setattr(verify, "_VOLKOV_CELLS", cells)
     ups = [1, 0, 1, 0, 1, 1, 1]
-    passed = verify._volkov_chunk(0.5, (1, 2, 4), 1, 7, _StepRng(ups))
+    passed = verify._volkov_chunk(0.5, (1, 2, 4), 1, 7, 5, _StepRng(ups))
     assert passed.shape == (3, 1)
     assert [bool(f[0]) for f in passed] == [False, True, False]
+
+
+class _BlockRng:
+    """Scripted blocks of uniforms (0 steps up, 0.99 steps down); logs each shape.
+
+    A block asked for in a shape the script does not expect steps down.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = [np.where(np.asarray(b), 0.0, 0.99) for b in blocks]
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        block = self.blocks.pop(0) if self.blocks else None
+        return block if block is not None and block.shape == shape else np.full(shape, 0.99)
+
+
+def test_volkov_stops_walks_out_of_reach(monkeypatch):
+    # levels 2 and 3, reach 4, 3-step blocks.  Walk 0 ends block 1 at
+    # 3 = reach - 1 and is kept: it falls back to 2 and 1 in block 2, and
+    # leaves at 5 after block 3.  Walk 1 ends block 2 at 4 = reach and is
+    # asked for no uniforms after it.
+    monkeypatch.setattr(verify, "_VOLKOV_CELLS", 6)
+    rng = _BlockRng([[[1, 1, 1], [1, 1, 1]],
+                     [[0, 0, 1], [1, 1, 0]],
+                     [[1, 1, 1]]])
+    passed = verify._volkov_chunk(0.5, (2, 3), 2, 12, 4, rng)
+    assert rng.shapes == [(2, 3), (2, 3), (1, 3)]
+    assert passed.tolist() == [[False, True], [False, True]]
+
+
+def test_volkov_certify_reach_is_the_charged_depth():
+    # reach = j + Delta, Delta the least depth whose fall r^Delta <= 2.5e-7
+    for p, j in [(0.55, 6), (0.7, 10), (0.9, 2)]:
+        horizon, reach, err = verify._volkov_certify(p, j, None)
+        r = (1 - p) / p
+        depth = reach - j
+        assert r ** depth <= 2.5e-7 < r ** (depth - 1)
+        assert err <= 1e-6
 
 
 def test_volkov_pinned_values():
@@ -458,9 +498,9 @@ def test_volkov_pinned_values():
     r = verify.volkov_bc_experiment(0.55, 5, 6, 4096, seed=7)
     assert r.horizon == 8192
     assert (repr(r.single.estimate), repr(r.single.std_error)) == (
-        "0.08935546875", "0.004457127284637702")
+        "0.092529296875", "0.004527682488266509")
     assert (repr(r.joint.estimate), repr(r.joint.std_error)) == (
-        "0.05078125", "0.0034304798575186513")
+        "0.049072265625", "0.003375295790403008")
     r = verify.volkov_bc_experiment(0.7, 5, 10, 30_000, seed=11, shards=3)
     assert r.horizon == 512
     assert (repr(r.single.estimate), repr(r.single.std_error)) == (
@@ -476,6 +516,16 @@ def test_volkov_matches_gambler_across_time_blocks(monkeypatch):
     res = verify.volkov_bc_experiment(0.6, 2, 4, 40_000, seed=21)
     single, _ = analytics.gambler_pass_once(0.6, math.inf)
     _, joint = analytics.gambler_pass_once(0.6, 2)
+    assert abs(res.single.estimate - single) < 4 * res.single.std_error
+    assert abs(res.joint.estimate - joint) < 4 * res.joint.std_error
+
+
+def test_volkov_matches_gambler_with_short_blocks(monkeypatch):
+    # 4-step blocks: walks leave soon after they first end a block at
+    # j + Delta, where a shallower stop would drop the walks that fall back
+    monkeypatch.setattr(verify, "_VOLKOV_CELLS", 2048 * 4)
+    res = verify.volkov_bc_experiment(0.6, 2, 4, 40_000, seed=23)
+    single, joint = analytics.gambler_pass_once(0.6, 2)
     assert abs(res.single.estimate - single) < 4 * res.single.std_error
     assert abs(res.joint.estimate - joint) < 4 * res.joint.std_error
 

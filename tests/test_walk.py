@@ -519,6 +519,23 @@ def test_step_engine_pinned_digest():
         "53f62227a684a3ad988058a2b4fc69f9dbd55f3318efd21df30b12ee7e3b1e81"
 
 
+def test_headings_window_starts_at_first():
+    # the window 3..6 yields exactly those steps; step 3's heading is a
+    # uniform draw, and each later step k redraws with its own p_k:
+    # p_4 = p_6 = 0 keep the heading, p_5 = 1 draws it afresh
+    schedule = Explicit((0.5, 0.5, 0.5, 0.0, 1.0, 0.0))
+    samples = 40_000
+    seen = [(k, code.copy()) for k, code in
+            walk._headings(2, schedule, 6, samples, _rng(7), first=3)]
+    assert [k for k, _ in seen] == [3, 4, 5, 6]
+    code = dict(seen)
+    assert np.array_equal(code[4], code[3]) and np.array_equal(code[6], code[5])
+    counts = np.bincount(code[3], minlength=4)
+    assert abs(counts - samples / 4).max() < 4 * math.sqrt(samples * 3 / 16)
+    kept = np.count_nonzero(code[5] == code[4])  # a fresh code matches 1/4 of the time
+    assert abs(kept - samples / 4) < 4 * math.sqrt(samples * 3 / 16)
+
+
 def test_run_engine_pinned_digest():
     # the run engine's snapshots, change counts, visit counts and redraw
     # events, hashed: its one-byte direction codes for d <= 128 keep the
