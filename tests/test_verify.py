@@ -465,8 +465,9 @@ class _BlockRng:
 
     def random(self, shape):
         self.shapes.append(shape)
-        block = self.blocks.pop(0) if self.blocks else None
-        return block if block is not None and block.shape == shape else np.full(shape, 0.99)
+        down = np.full(shape, 0.99)
+        block = self.blocks.pop(0) if self.blocks else down
+        return block if block.shape == shape else down
 
 
 def test_volkov_stops_walks_out_of_reach(monkeypatch):
@@ -486,7 +487,7 @@ def test_volkov_stops_walks_out_of_reach(monkeypatch):
 def test_volkov_certify_reach_is_the_charged_depth():
     # reach = j + Delta, Delta the least depth whose fall r^Delta <= 2.5e-7
     for p, j in [(0.55, 6), (0.7, 10), (0.9, 2)]:
-        horizon, reach, err = verify._volkov_certify(p, j, None)
+        _, reach, err = verify._volkov_certify(p, j, None)
         r = (1 - p) / p
         depth = reach - j
         assert r ** depth <= 2.5e-7 < r ** (depth - 1)
