@@ -81,7 +81,13 @@ class Schedule:
           (0, nc(n)] (Devroye, *Non-Uniform Random Variate Generation*,
           1986, II.2);
         * ``forced(lo, hi)``: the forced steps in (lo, hi], sorted, and
-          ``n_forced(t)``, how many lie in [2, t].
+          ``n_forced(t)``, how many lie in [2, t];
+        * ``redraws(lo, hi, samples, cells, rng)``: each path's redraw
+          steps in (lo, hi], in blocks of at most about ``cells`` cells
+          (``_Hazard.redraws``).  By default they are the steps that
+          Poisson points in hazard time hit, found through ``step``, plus
+          the forced steps; ``Constant`` at 0 < p < 1 places them as
+          geometric gaps instead, with no duplicates and no inversion.
 
         This default tabulates nc from ``prefix_probs`` and finds each
         point's step by indexed search in a guide table (``_TableHazard``):
@@ -109,9 +115,68 @@ _CHUNK = 1 << 14
 # Forward probes of ``_TableHazard.step`` before a point falls back to a
 # binary search
 _PROBES = 4
+# Standard deviations above the mean redraw count in the gaps a constant
+# rate draws per row at first; a row still short draws more
+_GAP_SIGMAS = 6.0
 
 
-class _TableHazard:
+class _Hazard:
+    """The run engine's placement of redraws as Poisson points in hazard time."""
+
+    def redraws(self, lo, hi, samples, cells, rng):
+        """Yield ``(rows, steps, count)`` blocks: the redraws in (lo, hi] of each path.
+
+        Each path draws its count of Poisson points over nc(lo)..nc(hi); the
+        paths, ordered by count so that blocks carry little padding, are cut
+        into blocks of at most about ``cells`` cells (rows x (columns + 2)).
+        Row r is path ``rows[r]``: its points, placed as normalized
+        exponential spacings so they come out sorted, and the segment's
+        forced steps give ``count[r]`` ascending redraw steps
+        ``steps[r, :count[r]]``; a step hit twice appears twice, and the
+        rest of the row is hi + 1.
+        """
+        seg_forced = self.forced(lo, hi)
+        base, top = self.at(lo), self.at(hi)
+        k = rng.poisson(top - base, samples)
+        order = np.argsort(k, kind="stable")
+        k = k[order]
+        r0 = 0
+        while r0 < samples:
+            fill = np.arange(1, samples - r0 + 1) * (k[r0:] + seg_forced.size + 2)
+            r1 = r0 + max(1, int(np.searchsorted(fill, cells, side="right")))
+            # no name here keeps the steps alive while the engine runs the block
+            yield (order[r0:r1], self._poisson_steps(lo, hi, base, top, seg_forced,
+                                                     k[r0:r1], rng),
+                   k[r0:r1] + seg_forced.size)
+            r0 = r1
+
+    def _poisson_steps(self, lo, hi, base, top, seg_forced, k, rng):
+        """One block's redraw steps: ``k[r]`` points per row (``k`` ascending)."""
+        b = k.size
+        width = int(k[-1])
+        spacings = rng.standard_exponential((b, width + 1))
+        if not width:  # no points to invert, as always where nc(lo) == nc(hi)
+            steps = np.empty((b, 0), dtype=np.int64)
+        else:
+            np.cumsum(spacings, axis=1, out=spacings)
+            scale = (top - base) / spacings[np.arange(b), k]
+            points = spacings[:, :width]
+            points *= scale[:, None]
+            points += base
+            # row r's points beyond k[r] overshoot the segment and are
+            # dropped below; capped, they keep a closed-form inverse finite
+            np.minimum(points, top, out=points)
+            steps = self.step(points)
+            np.clip(steps, lo + 1, hi, out=steps)  # rounding at the ends
+            del spacings, points
+            steps[np.arange(width) >= k[:, None]] = hi + 1
+        if seg_forced.size:
+            steps = np.sort(np.concatenate(
+                [steps, np.broadcast_to(seg_forced, (b, seg_forced.size))], axis=1), axis=1)
+        return steps
+
+
+class _TableHazard(_Hazard):
     """``Schedule.hazard`` by table: nc, its guide and the forced steps as O(n) arrays.
 
     ``step`` is an indexed search (Chen & Asau 1974; Devroye 1986, III.2.4).
@@ -215,7 +280,7 @@ def _constant_step(x, h):
     return _settle(lambda s: (s - 1) * h, x, t).astype(np.int64)
 
 
-class _ForcedSpan:
+class _ForcedSpan(_Hazard):
     """Forced steps that form one run, first..last (empty when first > last)."""
 
     def __init__(self, first, last):
@@ -229,11 +294,19 @@ class _ForcedSpan:
 
 
 class _ConstantHazard(_ForcedSpan):
-    """nc(t) = max(t - 1, 0) h with h = -log(1 - p); every step forced at p = 1."""
+    """nc(t) = max(t - 1, 0) h with h = -log(1 - p); every step forced at p = 1.
+
+    For 0 < p < 1 the redraws are placed as geometric gaps, not as Poisson
+    points: the decisions at steps 2..n are iid Bernoulli(p), so the gaps
+    between redraw steps are iid Geometric(p), drawn by inversion as
+    G = 1 + floor(E / h) with E ~ Exp(1) (Devroye 1986, X.2).  Every step
+    drawn is a distinct redraw, and no step is inverted from hazard time.
+    """
 
     def __init__(self, p, n):
         p = float(p)
         super().__init__(2, n if p == 1 else 1)
+        self._p = p
         self._h = 0.0 if p == 1 else -math.log1p(-p)
 
     def at(self, t):
@@ -241,6 +314,58 @@ class _ConstantHazard(_ForcedSpan):
 
     def step(self, x):
         return _constant_step(x, self._h)
+
+    def redraws(self, lo, hi, samples, cells, rng):
+        """The blocks of ``_Hazard.redraws``, from gaps counted from max(lo, 1).
+
+        The segment has L = hi - max(lo, 1) Bernoulli steps.  Each row first
+        draws W = min(L, ceil(Lp + _GAP_SIGMAS sqrt(Lp(1 - p)) + 1)) gaps,
+        more than its redraw count needs unless that count lies _GAP_SIGMAS
+        standard deviations above its mean.  A row whose last step is still
+        below hi draws more gaps from that step, which keeps the law exact
+        since the gaps are memoryless.  Blocks hold the rows in order,
+        ``cells // (W + 2)`` of them.
+        """
+        if not 0 < self._p < 1:  # no hazard: only the forced steps, if any
+            yield from super().redraws(lo, hi, samples, cells, rng)
+            return
+        first = max(lo, 1)
+        width = self._gap_width(hi - first)
+        per_block = max(1, cells // (width + 2))
+        for r0 in range(0, samples, per_block):
+            rows = np.arange(r0, min(r0 + per_block, samples))
+            yield (rows, *self._gap_block(first, hi, (rows.size, width), rng))
+
+    def _gap_block(self, first, hi, shape, rng):
+        """One block's redraw steps after ``first`` and their count per row."""
+        steps = self._gap_steps(first, hi, shape, rng)
+        short = np.flatnonzero(steps[:, -1] < hi) if shape[1] else np.arange(0)
+        while short.size:  # top-ups, each from the row's last step
+            last = steps[short, -1:]
+            more = np.full((shape[0], self._gap_width(hi - int(last.min()))), hi + 1.0)
+            more[short] = self._gap_steps(last, hi, (short.size, more.shape[1]), rng)
+            steps = np.concatenate([steps, more], axis=1)
+            short = short[more[short, -1] < hi]
+        return steps, np.count_nonzero(steps <= hi, axis=1)
+
+    def _gap_width(self, steps):
+        """Gaps a row draws for ``steps`` Bernoulli steps: their count, at most."""
+        mean = steps * self._p
+        return min(steps, math.ceil(mean + _GAP_SIGMAS * math.sqrt(mean * (1 - self._p)) + 1))
+
+    def _gap_steps(self, start, hi, shape, rng):
+        """``start`` plus cumulative Geometric(p) gaps, as floats capped at hi + 1."""
+        gaps = rng.standard_exponential(shape)
+        # at a tiny h, E / h and the sums may overflow to inf: past any step
+        with np.errstate(over="ignore"):
+            gaps /= self._h
+            np.floor(gaps, out=gaps)
+            np.cumsum(gaps, axis=1, out=gaps)
+        gaps += start + np.arange(1, shape[1] + 1)
+        # the cap precedes any cast to the engine's integer steps: a gap
+        # past hi, even an infinite one, becomes hi + 1
+        np.minimum(gaps, hi + 1, out=gaps)
+        return gaps
 
 
 # B_0..B_6, for the Bernoulli polynomials of the Critical tail's series

@@ -37,30 +37,37 @@ totals, and coordinate i is T(+i) - T(-i).
 
 One run engine serves ``simulate_events``, the event engine of
 ``sample_positions`` and ``sample_visit_stats``: it draws each path's
-redraw set whole.  The redraw indicators of steps 2..n are independent,
-and step j redraws with probability p_j = 1 - exp(-h_j),
-h_j = -log(1 - p_j).  Give step j an
-interval of length h_j on the cumulative-hazard axis: the steps hit by a
-unit-rate Poisson process there have exactly the law of the redraw set.
-Steps with p_j = 1 own no interval and are added as forced redraws, as is
-step 1.  This is the discrete analogue of thinning
-(Lewis & Shedler, 1979).  A point x lands on step min{t : nc(t) >= x},
-nc the cumulative hazard; the schedule supplies nc, this inverse and its
-forced steps (``Schedule.hazard``).  ``Constant`` and ``Critical`` invert
-nc in closed form, so their horizons need no O(n) memory; the other
-families look the point up by indexed search in an O(n) table of nc and
-its guide, in O(1) expected probes.
-Given its count K ~ Poisson(H), the process's points are sorted uniforms
-over the hazard range H, drawn as normalized exponential spacings
-(Devroye 1986), so a path's runs come out sorted without a sort or a
-sequential loop.  A step hit twice keeps a zero-length run with its own
+redraw set whole, and the schedule's hazard (``Schedule.hazard``) places
+it.  The redraw indicators of steps 2..n are independent, and step j
+redraws with probability p_j = 1 - exp(-h_j), h_j = -log(1 - p_j).
+
+At a constant rate 0 < p < 1 the indicators are iid, so the gaps between
+redraw steps are iid Geometric(p); each gap is 1 + floor(E / h) with
+E ~ Exp(1), its law by inversion (Devroye, *Non-Uniform Random Variate
+Generation*, 1986), and the steps are the cumulative sums of the gaps.
+
+Every other schedule gives step j an interval of length h_j on the
+cumulative-hazard axis: the steps hit by a unit-rate Poisson process there
+have exactly the law of the redraw set.  Steps with p_j = 1 own no
+interval and are added as forced redraws, as is step 1.  This is the
+discrete analogue of thinning (Lewis & Shedler, 1979).  A point x lands on
+step min{t : nc(t) >= x}, nc the cumulative hazard; the hazard supplies
+nc, this inverse and its forced steps.  ``Critical`` inverts nc in closed
+form, so its horizons need no O(n) memory; the table families look the
+point up by indexed search in an O(n) table of nc and its guide, in O(1)
+expected probes.  Given its count K ~ Poisson(H), the process's points are
+sorted uniforms over the hazard range H, drawn as normalized exponential
+spacings (Devroye 1986), so a path's runs come out sorted without a sort or
+a sequential loop.  A step hit twice keeps a zero-length run with its own
 direction; only the last draw at a step moves the walk, so the law is
-unchanged.  Paths are processed in (paths x runs) blocks of
-bounded size, and a horizon too long for one block is cut into segments
-that each path crosses carrying its position and direction; snapshot times
-and change-window bounds also end segments, so a snapshot is a carried
-position.  The callers only read the runs: target hits run by run, carried
-positions and direction changes, or the redraw events of one path.
+unchanged.  Such duplicates occur only in this Poisson placement.
+
+Paths are processed in (paths x runs) blocks of bounded size, and a
+horizon too long for one block is cut into segments that each path crosses
+carrying its position and direction; snapshot times and change-window
+bounds also end segments, so a snapshot is a carried position.  The
+callers only read the runs: target hits run by run, carried positions and
+direction changes, or the redraw events of one path.
 """
 
 from __future__ import annotations
@@ -466,13 +473,13 @@ def _headings(d, schedule, n, samples, rng, first=1):
     ``code`` holds every path's direction code, encoded as in ``_runs``,
     and is updated in place; callers copy what they keep.  The heading at
     step ``first`` is drawn uniform, its law at every step, so the window
-    first..n has the law of those steps of a whole path.
+    first..n has the law of those steps of a whole path.  Each p_k is read
+    at its step, so the window needs no table of the rates before it.
     """
-    p = schedule.prefix_probs(n)
     code = rng.integers(0, 2 * d, samples).astype(_code_dtype(d))
     yield first, code
     for k in range(first + 1, n + 1):
-        redraw = rng.random(samples) < p[k - 1]
+        redraw = rng.random(samples) < float(schedule.p_at(k))
         if redraw.any():
             code[redraw] = rng.integers(0, 2 * d, np.count_nonzero(redraw))
         yield k, code
@@ -499,7 +506,8 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
 
     Each path's redraw set is drawn whole: step 1, the forced (p == 1)
     steps, and the distinct steps hit by a unit-rate Poisson process in
-    cumulative-hazard time (module docstring).  Per constant-direction run
+    cumulative-hazard time, or at a constant rate the steps that geometric
+    gaps reach (module docstring).  Per constant-direction run
     the target can be met at most once, so hits are detected run by run
     without storing positions.  All horizons must be <= n; they observe the
     same paths, so per-path counts are monotone in the horizon by
@@ -583,18 +591,19 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
     """Draw ``samples`` paths of n >= 1 steps and yield their runs by block.
 
     The steps are cut into segments (``_segments``); each path crosses a
-    segment carrying its position and heading.  Per segment, each path
-    draws its count of Poisson points, and the paths, ordered by count so
-    that blocks carry little padding, are cut into blocks of at most about
-    ``_BLOCK_CELLS`` runs.  Per block, yields
+    segment carrying its position and heading.  Per segment, the hazard
+    places each path's redraw steps (``redraws`` of ``Schedule.hazard``) in
+    blocks of at most about ``_BLOCK_CELLS`` runs: Poisson points in hazard
+    time, or geometric gaps at a constant rate.  Per block, yields
 
     * ``lo, hi``: the segment, steps lo + 1..hi;
     * ``rows``: the block's paths;
     * ``starts`` (b, m + 1) and ``length`` (b, m): run j of row r covers
       steps starts[r, j]..starts[r, j + 1] - 1, and ``dirs`` (b, m) is its
       direction code (axis ``code >> 1``, backwards when odd).  Run 0 is
-      the one carried in, then one run per redraw; a zero-length run is a
-      draw overwritten at the same step, and padding runs start at hi + 1;
+      the one carried in, then one run per redraw; padding runs start at
+      hi + 1.  A zero-length run is a draw overwritten at the same step,
+      which only the Poisson placement makes;
     * ``q`` (d, b, m): position minus ``target`` before each run, per
       coordinate, and ``end`` (b, d): the same after step hi.
     """
@@ -608,17 +617,9 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
     rel = np.tile(-np.asarray(target, dtype=dtype), (samples, 1))
     heading = rng.integers(0, 2 * d, samples, dtype=_code_dtype(d))
     for lo, hi in _segments(hz, n, cuts):
-        seg_forced = hz.forced(lo, hi)
-        k = rng.poisson(hz.at(hi) - hz.at(lo), samples)
-        order = np.argsort(k, kind="stable")
-        k = k[order]
-        r0 = 0
-        while r0 < samples:
-            cells = np.arange(1, samples - r0 + 1) * (k[r0:] + seg_forced.size + 2)
-            r1 = r0 + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
-            rows = order[r0:r1]
-            starts, dirs = _block_runs(d, hz, lo, hi, seg_forced, k[r0:r1],
-                                       heading, rows, dtype, rng)
+        for rows, steps, count in hz.redraws(lo, hi, samples, _BLOCK_CELLS, rng):
+            starts, dirs = _block_runs(d, lo, hi, steps, count, heading, rows, dtype, rng)
+            del steps  # the runs' starts replace it for the rest of the block
             length = np.diff(starts, axis=1)
             axis = dirs >> 1
             signed = np.where(dirs & 1, -length, length)
@@ -632,37 +633,17 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
                 end[:, c] = qc[:, -1] + signed[:, -1] * (axis[:, -1] == c)
             rel[rows] = end
             yield lo, hi, rows, starts, length, dirs, q, end
-            r0 = r1
 
 
-def _block_runs(d, hz, lo, hi, seg_forced, k, heading, rows, dtype, rng):
+def _block_runs(d, lo, hi, steps, count, heading, rows, dtype, rng):
     """Run starts and direction codes of paths ``rows`` over steps lo + 1..hi.
 
-    Path r's redraws are ``k[r]`` Poisson points in hazard time, placed as
-    normalized exponential spacings so they come out sorted, and the
-    segment's forced steps; ``k`` is ascending.  ``heading[rows]`` gives
-    the direction of the carried run and advances to step hi in place.
+    Row r redraws ``count[r]`` times, at ``steps[r, :count[r]]``
+    (ascending, the rest hi + 1), as ``redraws`` of the hazard places them.
+    ``heading[rows]`` gives the direction of the carried run and advances
+    to step hi in place: to the run at each row's count.
     """
-    b = k.size
-    width = int(k[-1])
-    base, top = hz.at(lo), hz.at(hi)
-    spacings = rng.standard_exponential((b, width + 1))
-    np.cumsum(spacings, axis=1, out=spacings)
-    scale = (top - base) / spacings[np.arange(b), k]
-    points = spacings[:, :width]
-    points *= scale[:, None]
-    points += base
-    # row r's points beyond k[r] overshoot the segment and are dropped
-    # below; capped, they keep a closed-form inverse finite
-    np.minimum(points, top, out=points)
-    steps = hz.step(points)
-    np.clip(steps, lo + 1, hi, out=steps)  # rounding at the ends
-    del spacings, points
-    # row r's points beyond k[r] pad with hi + 1: zero-length runs at the end
-    steps[np.arange(width) >= k[:, None]] = hi + 1
-    if seg_forced.size:
-        steps = np.sort(np.concatenate(
-            [steps, np.broadcast_to(seg_forced, (b, seg_forced.size))], axis=1), axis=1)
+    b = rows.size
     m = steps.shape[1] + 1  # runs per row: the carried one, then one per redraw
     starts = np.empty((b, m + 1), dtype=dtype)
     starts[:, 0] = lo + 1
@@ -671,5 +652,5 @@ def _block_runs(d, hz, lo, hi, seg_forced, k, heading, rows, dtype, rng):
     dirs = np.empty((b, m), dtype=heading.dtype)
     dirs[:, 0] = heading[rows]
     dirs[:, 1:] = rng.integers(0, 2 * d, (b, m - 1), dtype=heading.dtype)
-    heading[rows] = dirs[np.arange(b), k + seg_forced.size]
+    heading[rows] = dirs[np.arange(b), count]
     return starts, dirs

@@ -158,9 +158,12 @@ def test_simulate_out_file_matches_stdout(tmp_path, capsys):
 
 
 def test_simulate_pinned_digest(capsys):
-    # --samples 3 output of both samplers, sparse and dense, hashed
-    h = hashlib.sha256()
+    # --samples 3 output of both samplers, sparse and dense, hashed per
+    # schedule.  The Critical stream is the one the Poisson placement had
+    # before constant rates took geometric gaps; the Constant one pins them.
+    digests = {}
     for d, schedule, n in ((2, CONST_HALF, 30), (3, CRITICAL_1_N0_2, 50)):
+        h = hashlib.sha256()
         for sampler in ("step", "events"):
             for dense in ([], ["--dense"]):
                 rc, out, _ = _run(capsys, ["simulate", "--d", str(d), "--schedule",
@@ -168,8 +171,11 @@ def test_simulate_pinned_digest(capsys):
                                            "--seed", "6", "--sampler", sampler, *dense])
                 assert rc == 0
                 h.update(out.encode())
-    assert h.hexdigest() == \
-        "13687c19f69f021923d2ee12dfa4c8cd2570fefa7db16be1af3ee0b5155946eb"
+        digests[schedule] = h.hexdigest()
+    assert digests == {
+        CONST_HALF: "8562c5b43aaad8ef91eab5e3d15a91f3a3ec0fc65bcefac8c53c75e42a6a63b7",
+        CRITICAL_1_N0_2: "0848c14a486f92519fe932e02c927b3bdddcbc6435b43c681595a19df7f54a63",
+    }
 
 
 def test_simulate_memory_does_not_grow_with_samples(tmp_path):

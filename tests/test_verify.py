@@ -261,6 +261,18 @@ def test_covariance_memory_bounded():
     assert peak < 16e6
 
 
+def test_covariance_window_memory_is_the_window():
+    # two simulated steps at the end of a 10^6-step horizon: the rates are
+    # read step by step, with no table of p_1..p_j (8 MB here)
+    tracemalloc.start()
+    try:
+        verify.estimate_covariance(Constant(0.5), 10 ** 6 - 1, 10 ** 6, 100, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_moment4_single_step_is_exact_one():
     r = verify.moment4_experiment(0.5, 1, 500, seed=3)
     assert r.estimate == 1.0

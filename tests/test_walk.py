@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -419,15 +420,42 @@ class _ScriptedRng:
 
 
 def test_visit_block_carries_each_rows_own_heading():
-    # two segments, (0, 5] and (5, 10].  Path 0 redraws twice in each, path
-    # 1 never: path 1 keeps its heading and runs straight on, path 0 ends on
-    # its last draw.  With unit spacings path 0 redraws at steps 3, 4, 7, 9.
+    # two segments, (0, 5] and (5, 10], of a table schedule, where redraws
+    # are Poisson points.  Path 0 redraws twice in each, path 1 never: path 1
+    # keeps its heading and runs straight on, path 0 ends on its last draw.
+    # With unit spacings path 0 redraws at steps 3, 4, 7, 9.
     end = np.zeros((2, 1), dtype=np.int64)
     for _lo, hi, rows, *_, block_end in walk._runs(
-            1, Constant(0.5), 10, 2, _ScriptedRng([2, 0]), cuts={5}):
+            1, Explicit((0.5,)), 10, 2, _ScriptedRng([2, 0]), cuts={5}):
         if hi == 10:
             end[rows] = block_end
     # path 0: +2 on steps 1-2, then back on steps 3-10
+    assert end[:, 0].tolist() == [-6, 10]
+
+
+class _ScriptedGapRng(_ScriptedRng):
+    """Headings as ``_ScriptedRng``; exponentials of 1 in row 0 and of 100 in
+    row 1, and no Poisson counts."""
+
+    def __init__(self):
+        super().__init__(())
+
+    def poisson(self, lam, size):
+        raise AssertionError("a constant rate places its redraws as gaps")
+
+    def standard_exponential(self, shape):
+        return np.where(np.arange(shape[0])[:, None] == 0, 1.0, 100.0) * np.ones(shape)
+
+
+def test_gap_block_carries_each_rows_own_heading():
+    # the same two segments at the constant rate 1/2, where a gap is
+    # 1 + floor(E / log 2): path 0 redraws every second step from step 1,
+    # at 3, 5 and then, from step 5, at 7 and 9; path 1's gaps pass hi
+    end = np.zeros((2, 1), dtype=np.int64)
+    for _lo, hi, rows, *_, block_end in walk._runs(
+            1, Constant(0.5), 10, 2, _ScriptedGapRng(), cuts={5}):
+        if hi == 10:
+            end[rows] = block_end
     assert end[:, 0].tolist() == [-6, 10]
 
 
@@ -538,15 +566,18 @@ def test_headings_window_starts_at_first():
 
 def test_run_engine_pinned_digest():
     # the run engine's snapshots, change counts, visit counts and redraw
-    # events, hashed: its one-byte direction codes for d <= 128 keep the
-    # stream of every seed
-    cases = [
-        (1, Constant(0.3), 12, (0, 1, 5, 12), (2, 11)),
-        (2, Critical(1.0, n0=2), 10, (3, 10), (1, 10)),
-        (3, Explicit((0.5, 1.0, 0.0, 0.2, 1.0, 0.0, 0.7)), 9, (2, 6, 9), (3, 9)),
-    ]
-    h = hashlib.sha256()
-    for k, (d, schedule, n, times, window) in enumerate(cases):
+    # events, hashed per case: its one-byte direction codes for d <= 128
+    # keep the stream of every seed.  The Poisson placement of the Critical
+    # and Explicit cases keeps the stream it had before constant rates took
+    # geometric gaps; the Constant case pins the gap placement.
+    cases = {
+        "constant": (1, Constant(0.3), 12, (0, 1, 5, 12), (2, 11)),
+        "critical": (2, Critical(1.0, n0=2), 10, (3, 10), (1, 10)),
+        "explicit": (3, Explicit((0.5, 1.0, 0.0, 0.2, 1.0, 0.0, 0.7)), 9, (2, 6, 9), (3, 9)),
+    }
+    digests = {}
+    for k, (name, (d, schedule, n, times, window)) in enumerate(cases.items()):
+        h = hashlib.sha256()
         rng = _rng(300 + k)
         out = walk.sample_positions(d, schedule, n, 3_000, rng, times=times,
                                     count_changes_in=window)
@@ -557,8 +588,12 @@ def test_run_engine_pinned_digest():
         h.update(stats.counts[n // 2].tobytes() + stats.counts[n].tobytes())
         path = walk.simulate_events(d, schedule, 40, rng)
         h.update(repr(path.events).encode())
-    assert h.hexdigest() == \
-        "f77aabc8e4d153cbe9bb7ea49cdb75478d53d52a921a5b4463f62b0172e69ff4"
+        digests[name] = h.hexdigest()
+    assert digests == {
+        "constant": "2bae113e9ee3aa1ebbf857ce238b84ee61e8f1663fd0e281d2fd03bed6f98e99",
+        "critical": "d2e6bf76f78591f250dac2fc0be7b6d6df17b02ef90d33f4555f318e0ec79861",
+        "explicit": "97a1e03f963e2f08859ace75b3fa810bdd70aa3e5031c9ce5ccd71ab0abe7150",
+    }
 
 
 @pytest.mark.parametrize("case, cells", [(0, None), (1, None), (0, 4), (1, 4)])
@@ -576,7 +611,7 @@ def test_simulate_events_matches_exact_law(monkeypatch, case, cells):
 
 
 _SCHEDULES = st.one_of(
-    st.builds(Constant, st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+    st.builds(Constant, st.sampled_from([0.0, 5e-324, 0.05, 0.5, 1 - 1e-16, 1.0])),
     st.builds(lambda a, extra: Critical(a, n0=math.ceil(a) + extra),
               st.sampled_from([0.5, 1.0, 2.5]), st.integers(0, 3)),
     st.builds(PowerDecay, st.sampled_from([0.3, 1.0]), st.sampled_from([0.2, 0.7]),
@@ -688,6 +723,81 @@ def test_run_engine_redraw_law_past_the_short_table(schedule):
         p = schedule.a / j
         law = np.append(law * (1 - p), 0.0) + np.append(0.0, law * p)
     assert _chi_square_pvalue(counts[:, None], {(k,): q for k, q in enumerate(law)}) > 1e-3
+
+
+def _gap_rows_and_redraws(n, p, samples, seed):
+    """Per path: the distinct redraw steps in 2..n, and the most gaps one
+    block row held; through the run engine at the constant rate p."""
+    redraws = np.zeros(samples, dtype=np.int64)
+    widest = 0
+    for _lo, _hi, rows, _starts, length, *_ in walk._runs(1, Constant(p), n, samples,
+                                                          _rng(seed)):
+        redraws[rows] += np.count_nonzero(length[:, 1:] > 0, axis=1)
+        widest = max(widest, length.shape[1] - 1)
+    return redraws, widest
+
+
+def _binomial_law(trials, p):
+    return {(k,): math.comb(trials, k) * p ** k * (1 - p) ** (trials - k)
+            for k in range(trials + 1)}
+
+
+def test_gap_top_ups_keep_the_redraw_law(monkeypatch):
+    # a margin of -1 sigma leaves most rows short of hi after their first
+    # gaps: they draw more from their last step, often more than once.  The
+    # count of distinct redraw steps in 2..n stays Binomial(n - 1, p).
+    monkeypatch.setattr("turnwalk.schedule._GAP_SIGMAS", -1.0)
+    n, p = 200, 0.3
+    first = Constant(p).hazard(n)._gap_width(n - 1)
+    redraws, widest = _gap_rows_and_redraws(n, p, 100_000, 161)
+    assert widest > first
+    assert np.count_nonzero(redraws > first) > redraws.size / 2  # rows that topped up
+    assert _chi_square_pvalue(redraws[:, None], _binomial_law(n - 1, p)) > 1e-3
+
+
+@pytest.mark.parametrize("cells", [None, 4])
+def test_gap_top_ups_keep_the_exact_law(monkeypatch, cells):
+    # the same short first draw against the joint laws of visits and of
+    # snapshots with change counts; four-cell blocks add segment boundaries
+    monkeypatch.setattr("turnwalk.schedule._GAP_SIGMAS", -1.0)
+    if cells:
+        monkeypatch.setattr(walk, "_BLOCK_CELLS", cells)
+    samples = 4_000 if cells else 200_000
+    schedule = _VISIT_SCHEDULES["const-half"]
+    assert _visit_stats_pvalue(2, schedule, 7, (1, 0), 171, samples=samples) > 1e-3
+    d, schedule, n, times, window = _POSITION_CASES[2]
+    out = walk.sample_positions(d, schedule, n, samples, _rng(172), times=times,
+                                count_changes_in=window)
+    points = np.concatenate([out.at(t) for t in times] + [out.change_counts[:, None]],
+                            axis=1)
+    assert _chi_square_pvalue(points, _exact_positions_law(d, schedule, n, times,
+                                                           window)) > 1e-3
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1 - 1e-16])
+def test_constant_gaps_at_extreme_rates_warn_nothing(p):
+    # at a subnormal or tiny h, E / h and the gap sums overflow to inf, and
+    # near p = 1 every step redraws: each step is capped at hi + 1 before
+    # the engine casts it, so no cast or overflow warning escapes
+    n, samples = 1_000, 50
+    every = p > 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng = _rng(181)
+        stats = walk.sample_visit_stats(2, Constant(p), n, samples, rng,
+                                        horizons=(10, n))
+        out = walk.sample_positions(2, Constant(p), n, samples, rng,
+                                    times=(5, 500, n), count_changes_in=(3, 900))
+        path = walk.simulate_events(2, Constant(p), n, rng)
+    assert [ev.update_time for ev in path.events] == list(range(1, n + 1 if every else 2))
+    assert np.all(stats.counts[10] <= stats.counts[n])
+    for t in (5, 500, n):
+        l1 = np.abs(out.at(t)).sum(axis=1)
+        assert np.all(l1 % 2 == t % 2) and np.all(l1 <= t)
+        if not every:  # one heading throughout: a straight line
+            assert np.all(l1 == t) and not stats.counts[n].any()
+    if not every:
+        assert not out.change_counts.any()
 
 
 def test_visits_straight_path():
