@@ -299,7 +299,7 @@ class _ConstantHazard(_ForcedSpan):
     For 0 < p < 1 the redraws are placed as geometric gaps, not as Poisson
     points: the decisions at steps 2..n are iid Bernoulli(p), so the gaps
     between redraw steps are iid Geometric(p), drawn by inversion as
-    G = 1 + floor(E / h) with E ~ Exp(1) (Devroye 1986, X.2).  Every step
+    G = 1 + floor(E / h) with E ~ Exp(1) (Devroye 1986).  Every step
     drawn is a distinct redraw, and no step is inverted from hazard time.
     """
 
@@ -349,7 +349,7 @@ class _ConstantHazard(_ForcedSpan):
         return steps, np.count_nonzero(steps <= hi, axis=1)
 
     def _gap_width(self, steps):
-        """Gaps a row draws for ``steps`` Bernoulli steps: their count, at most."""
+        """W of ``redraws`` for ``steps`` Bernoulli steps; never more than ``steps``."""
         mean = steps * self._p
         return min(steps, math.ceil(mean + _GAP_SIGMAS * math.sqrt(mean * (1 - self._p)) + 1))
 

@@ -725,7 +725,7 @@ def test_run_engine_redraw_law_past_the_short_table(schedule):
     assert _chi_square_pvalue(counts[:, None], {(k,): q for k, q in enumerate(law)}) > 1e-3
 
 
-def _gap_rows_and_redraws(n, p, samples, seed):
+def _gap_redraws_and_width(n, p, samples, seed):
     """Per path: the distinct redraw steps in 2..n, and the most gaps one
     block row held; through the run engine at the constant rate p."""
     redraws = np.zeros(samples, dtype=np.int64)
@@ -749,7 +749,7 @@ def test_gap_top_ups_keep_the_redraw_law(monkeypatch):
     monkeypatch.setattr("turnwalk.schedule._GAP_SIGMAS", -1.0)
     n, p = 200, 0.3
     first = Constant(p).hazard(n)._gap_width(n - 1)
-    redraws, widest = _gap_rows_and_redraws(n, p, 100_000, 161)
+    redraws, widest = _gap_redraws_and_width(n, p, 100_000, 161)
     assert widest > first
     assert np.count_nonzero(redraws > first) > redraws.size / 2  # rows that topped up
     assert _chi_square_pvalue(redraws[:, None], _binomial_law(n - 1, p)) > 1e-3
