@@ -576,7 +576,8 @@ class PowerDecay(Schedule):
         self._require_step(n)
         if n < self.n0:
             return self.prefix_p
-        return self.c * n ** (-self.gamma)
+        # np.power, as in prefix_probs: Python's ** differs in the last bit
+        return float(self.c * np.power(np.float64(n), -self.gamma))
 
     def prefix_probs(self, n: int) -> np.ndarray:
         out = np.arange(1, n + 1, dtype=float)

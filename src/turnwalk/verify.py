@@ -386,9 +386,13 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     2. the rescaled windowed displacement (S_n - S_{floor(delta n)})/n is
        compared per coordinate and in Euclidean norm to the truncated zigzag
        endpoint Z_1 by two-sample KS.  Matching the truncations also matches
-       the straight-run atoms (both sit exactly at 1 - delta); the naive
-       untruncated comparison |S_n|/n vs the truncated Z_1 mixes different
-       laws and is reported in details only, outside the statistic.
+       the straight-run atoms (both sit exactly at 1 - delta).
+
+    Both legs read only steps m + 1..n, m = floor(delta n), so the walks
+    start at step m with a uniform heading (``sample_positions(first=m)``),
+    which gives that window its exact law; the steps before m are never
+    simulated.  No comparison of the whole path S_n is reported: against
+    the truncated Z_1 it would mix different laws.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -403,17 +407,14 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     b = b_from_a(a, d)
     schedule = Critical(a=a, n0=max(1, math.ceil(a)))
 
-    counts_parts, sm_parts, sn_parts = [], [], []
+    counts_parts, window_parts = [], []
     for size, rng in _sharded(samples, shards, seed, "critical_walk"):
-        out = walk.sample_positions(d, schedule, n, size, rng, times=(m, n),
-                                    count_changes_in=(m, n), method="events")
+        out = walk.sample_positions(d, schedule, n, size, rng, times=(n,),
+                                    count_changes_in=(m, n), method="events", first=m)
         counts_parts.append(out.change_counts)
-        sm_parts.append(out.at(m))
-        sn_parts.append(out.at(n))
+        window_parts.append(out.at(n))
     counts = np.concatenate(counts_parts)
-    s_m = np.concatenate(sm_parts, axis=0).astype(float)
-    s_n = np.concatenate(sn_parts, axis=0).astype(float)
-    windowed = (s_n - s_m) / n
+    windowed = np.concatenate(window_parts, axis=0) / n
 
     z_parts = []
     for size, rng in _sharded(zigzag_samples, shards, seed, "critical_zigzag"):
@@ -430,8 +431,6 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     ks_coords = [ks_two_sample(windowed[:, c], zz[:, c]) for c in range(d)]
     ks_norm = ks_two_sample(np.linalg.norm(windowed, axis=1),
                             np.linalg.norm(zz, axis=1))
-    unmatched = ks_two_sample(np.linalg.norm(s_n / n, axis=1),
-                              np.linalg.norm(zz, axis=1))
 
     ratios = [_ratio(abs(mean - lam), 4.0 * se), _ratio(chi_stat, chi_crit)]
     ratios += [_ratio(dc, ks_thresh) for dc in ks_coords + [ks_norm]]
@@ -449,7 +448,6 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
         "ks_per_coordinate": ks_coords,
         "ks_norm": ks_norm,
         "ks_threshold": ks_thresh,
-        "ks_norm_untruncated_info": unmatched,
     }
     return TestReport(statistic=float(np.max(ratios)), threshold=1.0,
                       config=config, details=details)

@@ -25,6 +25,17 @@ reference, the generator ``_headings`` of every path's direction code
 after each step, read by ``sample_positions(method="step")`` (unit steps,
 code changes) and ``verify.estimate_covariance`` (codes at two steps).
 
+A statistic that reads only steps first + 1..n need not simulate the steps
+before them.  The heading's law is uniform at every step, whatever the
+schedule, and given the heading at step ``first`` the later steps do not
+depend on the earlier ones; so a walk started at step ``first`` with a
+uniform heading has exactly the law of the window of a whole path, and its
+positions are the displacements S_t - S_first.  Both engines of
+``sample_positions(first=...)`` start there, as the per-step engine does
+for ``estimate_covariance``; the run engine then draws only the window's
+redraws.  ``verify.critical_limit_test`` simulates its window (delta n, n]
+this way.
+
 For a ``Constant`` rate the endpoint alone needs O(d) variates per path.
 The redraws at steps 2..n are iid Bernoulli(p), so given R runs the cut
 set is a uniform (R-1)-subset of {1..n-1}: the run lengths form a uniform
@@ -358,7 +369,7 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
                      rng: np.random.Generator, *,
                      times: Sequence[int] | None = None,
                      count_changes_in: tuple | None = None,
-                     method: str = "events") -> PositionsSample:
+                     method: str = "events", first: int = 0) -> PositionsSample:
     """Sample ``samples`` independent walks, vectorized across paths.
 
     Returns positions (int64 arrays of shape (samples, d)) at each requested
@@ -370,11 +381,18 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
     generator ``_headings`` and is the reference the other paths are
     tested against.
 
-    With "events", a ``Constant`` schedule, only the horizon requested and
-    no change window, the endpoints come from the composition shortcut in
-    the module docstring: O(d) variates per path, independent of n.  Every
-    other "events" request runs the run engine, with memory bounded as in
-    ``sample_visit_stats``.
+    ``first`` starts every walk at step ``first`` with a uniform heading
+    and simulates steps first + 1..n only; positions are then the
+    displacements S_t - S_first.  The heading is uniform at every step, so
+    this window has exactly the law of steps first + 1..n of a whole path
+    (module docstring).  Snapshot times must lie in [first, n], and a
+    change window in [max(first, 1), n].
+
+    With "events", a ``Constant`` schedule, only the horizon requested, no
+    change window and ``first`` 0, the endpoints come from the composition
+    shortcut in the module docstring: O(d) variates per path, independent
+    of n.  Every other "events" request runs the run engine, with memory
+    bounded as in ``sample_visit_stats``.
     """
     _check_dimension(d)
     if n < 0:
@@ -384,18 +402,21 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
     if times is None:
         times = (n,)
     times = tuple(sorted(set(int(t) for t in times)))
-    if times and (times[0] < 0 or times[-1] > n):
-        raise ValueError(f"snapshot times must lie in [0, {n}]")
+    if not 0 <= first <= n:
+        raise ValueError(f"first must lie in [0, {n}], got {first}")
+    if times and (times[0] < first or times[-1] > n):
+        raise ValueError(f"snapshot times must lie in [{first}, {n}]")
     if count_changes_in is not None:
         lo, hi = count_changes_in
-        if not (1 <= lo <= hi <= n):
-            raise ValueError("count_changes_in must satisfy 1 <= lo <= hi <= n")
+        if not (max(first, 1) <= lo <= hi <= n):
+            raise ValueError(f"count_changes_in must satisfy "
+                             f"{max(first, 1)} <= lo <= hi <= n")
     if method not in ("step", "events"):
         raise ValueError(f"method must be 'step' or 'events', got {method!r}")
 
     positions = {t: np.zeros((samples, d), dtype=np.int64) for t in times}
     changes = np.zeros(samples, dtype=np.int64) if count_changes_in else None
-    if samples == 0 or n == 0:
+    if samples == 0 or n == first:
         return PositionsSample(positions, changes)
 
     if method == "step":
@@ -404,20 +425,22 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
         unit = np.kron(np.eye(d, dtype=dtype), np.array([[1], [-1]], dtype=dtype))
         pos = np.zeros((samples, d), dtype=dtype)
         lo, hi = count_changes_in or (n, n)
-        for k, code in _headings(d, schedule, n, samples, rng):
+        for k, code in _headings(d, schedule, n, samples, rng, first=max(first, 1)):
             if lo < k <= hi:
                 changes += code != prev
             if lo <= k < hi:
                 prev = code.copy()
-            pos += unit[code]
-            if k in positions:
-                positions[k][:] = pos
-    elif isinstance(schedule, Constant) and times == (n,) and changes is None:
+            if k > first:  # the window moves from step first + 1 on
+                pos += unit[code]
+                if k in positions:
+                    positions[k][:] = pos
+    elif isinstance(schedule, Constant) and times == (n,) and changes is None \
+            and first == 0:
         positions[n][:] = _constant_endpoints(d, schedule.p, n, samples, rng)
     else:
         cuts = set(times) | set(count_changes_in or ())
         for lo, hi, rows, _starts, length, dirs, _q, end in _runs(
-                d, schedule, n, samples, rng, cuts=cuts):
+                d, schedule, n, samples, rng, cuts=cuts, first=first):
             if hi in positions:
                 positions[hi][rows] = end
             if changes is not None and count_changes_in[0] <= lo \
@@ -558,22 +581,24 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     return VisitStats(counts, late)
 
 
-def _segments(hz, n, cuts=()):
-    """Step ranges (lo, hi] covering 1..n with at most half a block of load.
+def _segments(hz, n, cuts=(), first=0):
+    """Step ranges (lo, hi] covering first + 1..n with at most half a block of load.
 
-    A segment's load is its expected Poisson points plus its forced steps.
-    Cuts fall on step boundaries and one step adds at most about 38 (p just
-    below 1), so no segment exceeds its share by more than that.  Every
-    step in ``cuts`` inside (0, n) also ends a segment.
+    A segment's load is its expected Poisson points plus its forced steps,
+    counted from step ``first``.  Cuts fall on step boundaries and one step
+    adds at most about 38 (p just below 1), so no segment exceeds its share
+    by more than that.  Every step in ``cuts`` inside (first, n) also ends
+    a segment.
     """
     def load(t):
         return hz.at(t) + hz.n_forced(t)
 
-    total = load(n)
+    base = load(first)
+    total = load(n) - base
     parts = max(1, math.ceil(total / (_BLOCK_CELLS // 2)))
-    bounds = [0]
+    bounds = [first]
     for j in range(1, parts):
-        goal = j * total / parts
+        goal = base + j * total / parts
         a, b = bounds[-1] + 1, n
         while a < b:
             mid = (a + b) // 2
@@ -583,16 +608,18 @@ def _segments(hz, n, cuts=()):
                 a = mid + 1
         if a < n:
             bounds.append(a)
-    bounds = sorted({0, n, *bounds, *(c for c in cuts if 0 < c < n)})
+    bounds = sorted({first, n, *bounds, *(c for c in cuts if first < c < n)})
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
-    """Draw ``samples`` paths of n >= 1 steps and yield their runs by block.
+def _runs(d, schedule, n, samples, rng, target=None, cuts=(), first=0):
+    """Draw ``samples`` paths over steps first + 1..n and yield their runs by block.
 
-    The steps are cut into segments (``_segments``); each path crosses a
-    segment carrying its position and heading.  Per segment, the hazard
-    places each path's redraw steps (``redraws`` of ``Schedule.hazard``) in
+    Each path starts at step ``first`` (0 for a whole path) with a uniform
+    heading: step 1's draw, or the heading at step ``first``, whose law is
+    the same.  The steps are cut into segments (``_segments``); each path
+    crosses a segment carrying its position and heading.  Per segment, the
+    hazard places each path's redraw steps (``redraws`` of ``Schedule.hazard``) in
     blocks of at most about ``_BLOCK_CELLS`` runs: Poisson points in hazard
     time, or geometric gaps at a constant rate.  Per block, yields
 
@@ -604,8 +631,8 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
       the one carried in, then one run per redraw; padding runs start at
       hi + 1.  A zero-length run is a draw overwritten at the same step,
       which only the Poisson placement makes;
-    * ``q`` (d, b, m): position minus ``target`` before each run, per
-      coordinate, and ``end`` (b, d): the same after step hi.
+    * ``q`` (d, b, m): position (S_t - S_first) minus ``target`` before
+      each run, per coordinate, and ``end`` (b, d): the same after step hi.
     """
     hz = _HAZARDS.get((schedule, n))
     if hz is None:
@@ -616,7 +643,7 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=()):
     dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64
     rel = np.tile(-np.asarray(target, dtype=dtype), (samples, 1))
     heading = rng.integers(0, 2 * d, samples, dtype=_code_dtype(d))
-    for lo, hi in _segments(hz, n, cuts):
+    for lo, hi in _segments(hz, n, cuts, first):
         for rows, steps, count in hz.redraws(lo, hi, samples, _BLOCK_CELLS, rng):
             starts, dirs = _block_runs(d, lo, hi, steps, count, heading, rows, dtype, rng)
             del steps  # the runs' starts replace it for the rest of the block

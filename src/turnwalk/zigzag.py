@@ -223,9 +223,13 @@ def sample_endpoints(d: int, b: float, epsilon: float, samples: int,
     counts = rng.poisson(lam, samples)
     total_pts = int(counts.sum())
     pts = np.exp(rng.uniform(math.log(epsilon), 0.0, total_pts))
+    # sort by owner, then by point: a stable sort by owner of the points
+    # sorted by value keeps each owner's points in order
     owner = np.repeat(np.arange(samples), counts)
-    order = np.lexsort((pts, owner))
+    order = np.argsort(pts)
+    order = order[np.argsort(owner[order], kind="stable")]
     pts = pts[order]
+    del owner, order
 
     n_int = counts + 1
     total_int = int(n_int.sum())
@@ -252,6 +256,7 @@ def sample_endpoints(d: int, b: float, epsilon: float, samples: int,
     axis = labels // 2
     sign = 1 - 2 * (labels % 2)
 
-    coords = np.zeros((samples, d))
-    np.add.at(coords, (int_owner, axis), sign * lengths)
-    return coords
+    # summed in interval order per (sample, axis) cell, as a sequential add
+    coords = np.bincount(int_owner * d + axis, weights=sign * lengths,
+                         minlength=samples * d)
+    return coords.reshape(samples, d)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ def test_prefix_probs_matches_p_at():
         arr = s.prefix_probs(40)
         assert arr.shape == (40,)
         assert np.allclose(arr, [s.p_at(n) for n in range(1, 41)])
+
+
+@pytest.mark.parametrize("s", [
+    Constant(0.4), Constant(Fraction(1, 3)), Critical(1.0), Critical(2.5, n0=4, prefix_p=0.3),
+    PowerDecay(1.0, 0.7), PowerDecay(0.8, 0.5, n0=3), PowerDecay(2.0, 0.99, n0=3, prefix_p=0.5),
+    Periodic((0.2, 0.7, 0.5), n0=2), Periodic((1.0,), n0=9, prefix_p=0.0),
+    Explicit((1.0, 0.3)), Explicit((0.5, 1.0, 0.0, 0.2)),
+], ids=repr)
+def test_p_at_is_prefix_probs_bit_for_bit(s):
+    # the per-step samplers read p_at, the hazard tables prefix_probs: one
+    # schedule must give both the same bits
+    n = 20_000
+    each = np.array([float(s.p_at(k)) for k in range(1, n + 1)])
+    assert np.array_equal(each.view(np.uint64), s.prefix_probs(n).view(np.uint64))
 
 
 def _old_prefix_probs(s, n):

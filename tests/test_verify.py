@@ -374,11 +374,26 @@ def test_critical_report_structure():
     assert det["b"] == pytest.approx(0.75)
     assert det["poisson_mean"] == pytest.approx(0.75 * math.log(10))
     for key in ("turn_count_mean", "turn_count_se", "chi2_statistic",
-                "chi2_critical", "chi2_dof", "ks_norm", "ks_threshold",
-                "ks_norm_untruncated_info"):
+                "chi2_critical", "chi2_dof", "ks_norm", "ks_threshold"):
         assert key in det
+    # the walks start at step floor(delta n), so no whole-path comparison
+    assert "ks_norm_untruncated_info" not in det
     assert len(det["ks_per_coordinate"]) == 2
     json.dumps(rep.to_json())
+
+
+def test_critical_walks_start_at_the_window(monkeypatch):
+    # the walk leg simulates steps m + 1..n only, m = floor(delta n)
+    calls = []
+    sample_positions = verify.walk.sample_positions
+
+    def spy(*args, **kwargs):
+        calls.append((args[2], kwargs["first"], kwargs["times"], kwargs["count_changes_in"]))
+        return sample_positions(*args, **kwargs)
+
+    monkeypatch.setattr(verify.walk, "sample_positions", spy)
+    verify.critical_limit_test(2, 1.0, 10_000, 2_000, 0.1, seed=9, shards=2)
+    assert calls == [(10_000, 1_000, (10_000,), (1_000, 10_000))] * 2
 
 
 def test_critical_preconditions():

@@ -564,6 +564,88 @@ def test_headings_window_starts_at_first():
     assert abs(kept - samples / 4) < 4 * math.sqrt(samples * 3 / 16)
 
 
+_WINDOW_SCHEDULES = {
+    "critical": Critical(1.0, n0=2),
+    "power": PowerDecay(1.0, 0.7),
+    "explicit": Explicit((0.4, 1.0, 0.3, 0.0, 1.0, 0.6, 0.0, 0.5, 0.8)),
+}
+
+
+@pytest.mark.parametrize("method, cells, samples", [
+    pytest.param("step", None, 100_000, id="step"),
+    pytest.param("events", None, 100_000, id="events"),
+    pytest.param("events", 4, 4_000, id="events-4"),
+])
+@pytest.mark.parametrize("name", sorted(_WINDOW_SCHEDULES))
+def test_window_from_first_has_the_whole_paths_law(monkeypatch, name, method, cells,
+                                                   samples):
+    # (S_9 - S_3, changes in (3, 9]) of walks started at step 3, against the
+    # same quantities of whole walks, by a two-sample chi-square; cells seen
+    # fewer than 10 times in both samples together are pooled
+    from scipy.stats import chi2_contingency
+    if cells:
+        monkeypatch.setattr(walk, "_BLOCK_CELLS", cells)
+    d, m, n, schedule = 2, 3, 9, _WINDOW_SCHEDULES[name]
+    win = walk.sample_positions(d, schedule, n, samples, _rng(400), times=(n,),
+                                count_changes_in=(m, n), method=method, first=m)
+    whole = walk.sample_positions(d, schedule, n, samples, _rng(401), times=(m, n),
+                                  count_changes_in=(m, n), method=method)
+    a = np.column_stack([win.at(n), win.change_counts])
+    b = np.column_stack([whole.at(n) - whole.at(m), whole.change_counts])
+    _, cell = np.unique(np.concatenate([a, b]), axis=0, return_inverse=True)
+    table = np.stack([np.bincount(cell[:samples], minlength=cell.max() + 1),
+                      np.bincount(cell[samples:], minlength=cell.max() + 1)])
+    keep = table.sum(axis=0) >= 10
+    table = np.column_stack([table[:, keep], table[:, ~keep].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    _, pval, _, _ = chi2_contingency(table)
+    assert pval > 1e-3
+
+
+_WINDOW_CASES = [
+    # d, schedule, n, first, snapshot times (None: the horizon only)
+    (1, Critical(1.0), 12, 5, (5, 8, 12)),
+    (2, PowerDecay(1.0, 0.7), 11, 3, (3, 4, 11)),
+    (3, _WINDOW_SCHEDULES["explicit"], 9, 1, (1, 5, 9)),
+    (2, Constant(0.5), 10, 7, None),
+    (2, Critical(1.0, n0=2), 10, 10, (10,)),
+]
+
+
+@pytest.mark.parametrize("method, cells", [("step", None), ("events", None),
+                                           ("events", 4)])
+def test_window_displacement_fits_its_steps(monkeypatch, method, cells):
+    # exact: |S_t - S_first|_1 <= t - first with the parity of t - first,
+    # and at most n - first changes in (first, n]
+    if cells:
+        monkeypatch.setattr(walk, "_BLOCK_CELLS", cells)
+    for k, (d, schedule, n, first, times) in enumerate(_WINDOW_CASES):
+        out = walk.sample_positions(d, schedule, n, 300, _rng(500 + k), times=times,
+                                    count_changes_in=(max(first, 1), n) if times else None,
+                                    method=method, first=first)
+        for t in times or (n,):
+            l1 = np.abs(out.at(t)).sum(axis=1)
+            assert np.all(l1 <= t - first)
+            assert np.all((t - first - l1) % 2 == 0)
+        if times:
+            assert np.all(out.change_counts <= n - first)
+
+
+@pytest.mark.parametrize("method", ["step", "events"])
+def test_window_start_bounds_times_and_change_window(method):
+    rng = _rng(9)
+    with pytest.raises(ValueError, match=r"snapshot times must lie in \[4, 10\]"):
+        walk.sample_positions(2, Critical(1.0), 10, 5, rng, times=(3, 10),
+                              method=method, first=4)
+    with pytest.raises(ValueError, match="count_changes_in must satisfy 4 <= lo"):
+        walk.sample_positions(2, Critical(1.0), 10, 5, rng, count_changes_in=(3, 10),
+                              method=method, first=4)
+    for first in (-1, 11):
+        with pytest.raises(ValueError, match=r"first must lie in \[0, 10\]"):
+            walk.sample_positions(2, Critical(1.0), 10, 5, rng, method=method,
+                                  first=first)
+
+
 def test_run_engine_pinned_digest():
     # the run engine's snapshots, change counts, visit counts and redraw
     # events, hashed per case: its one-byte direction codes for d <= 128

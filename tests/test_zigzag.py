@@ -1,5 +1,7 @@
+import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,3 +283,28 @@ def test_sample_endpoints_validation():
         zigzag.sample_endpoints(2, 0.0, 0.1, 10, _rng())
     with pytest.raises(ValueError):
         zigzag.sample_endpoints(2, 0.75, 1.5, 10, _rng())
+
+
+@pytest.mark.parametrize("d, digest", [
+    (1, "b490de2d5f0952b47cb8fd24b8deae44c63a387a72022af2c1b49c37bfabd723"),
+    (2, "01e0cb88d504851c457dba9fdc9a15ae51081365f900dbabc903f59900b70b34"),
+    (3, "dd0651f773b257c630f069fefa8a8774f07ac63d9918d462348554fe5a9b7133"),
+])
+def test_sample_endpoints_pinned_digest(d, digest):
+    # the endpoints' float64 bytes, hashed: the points sorted per sample and
+    # the lengths summed in interval order give these bits
+    out = zigzag.sample_endpoints(d, zigzag.b_from_a(1, d), 0.1, 20_000,
+                                  np.random.default_rng(d))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+def test_sample_endpoints_memory():
+    # the verify critical --d 3 batch: 10^5 samples, about 1.9 points each
+    tracemalloc.start()
+    try:
+        zigzag.sample_endpoints(3, zigzag.b_from_a(1, 3), 0.1, 100_000,
+                                np.random.default_rng(7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 34.3e6
