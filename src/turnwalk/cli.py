@@ -87,10 +87,11 @@ def _cmd_simulate(args) -> int:
            "n": args.n, "samples": args.samples, "seed": args.seed,
            "sampler": args.sampler, "dense": args.dense, "format": "csv"}
     rng = verify.stream_rng(args.seed, "simulate", 0)
-    draw = walk.simulate if args.sampler == "step" else walk.simulate_events
+    paths = (walk._event_paths(args.d, sched, args.n, args.samples, rng)  # in groups
+             if args.sampler == "events" else
+             (walk.simulate(args.d, sched, args.n, rng) for _ in range(args.samples)))
     # drawn as written, so memory does not grow with --samples; the first
     # draw comes before any output, so a rejected argument writes nothing
-    paths = (draw(args.d, sched, args.n, rng) for _ in range(args.samples))
     paths = itertools.chain([next(paths)], paths)
     with _out_stream(args.out) as fh:
         fh.write(_config_line(cfg) + "\n")

@@ -46,11 +46,11 @@ m + BetaBinomial(N - R, m, R - m) (Devroye, *Non-Uniform Random Variate
 Generation*, 1986); splitting n class by class gives the 2d direction
 totals, and coordinate i is T(+i) - T(-i).
 
-One run engine serves ``simulate_events``, the event engine of
-``sample_positions`` and ``sample_visit_stats``: it draws each path's
-redraw set whole, and the schedule's hazard (``Schedule.hazard``) places
-it.  The redraw indicators of steps 2..n are independent, and step j
-redraws with probability p_j = 1 - exp(-h_j), h_j = -log(1 - p_j).
+One run engine serves ``_event_paths`` (``simulate_events``) and the event
+engine of ``sample_positions`` and ``sample_visit_stats``: it draws each
+path's redraw set whole, placed by the hazard (``Schedule.hazard``) that
+each caller builds.  The redraw indicators of steps 2..n are independent,
+and step j redraws with probability p_j = 1 - exp(-h_j), h_j = -log(1 - p_j).
 
 At a constant rate 0 < p < 1 the indicators are iid, so the gaps between
 redraw steps are iid Geometric(p); each gap is 1 + floor(E / h) with
@@ -78,7 +78,7 @@ horizon too long for one block is cut into segments that each path crosses
 carrying its position and direction; snapshot times and change-window
 bounds also end segments, so a snapshot is a carried position.  The
 callers only read the runs: target hits run by run, carried positions and
-direction changes, or the redraw events of one path.
+direction changes, or the redraw events of each path.
 """
 
 from __future__ import annotations
@@ -112,13 +112,11 @@ __all__ = [
 
 # Cells (paths x runs) in one block of the run engine; its memory beyond
 # the per-path state (and, for a schedule without a closed-form hazard, the
-# O(n) hazard table) is a fixed multiple of this.
+# O(n) hazard table its caller built) is a fixed multiple of this.
 _BLOCK_CELLS = 1 << 18
 
-# The last (schedule, n) the run engine ran and its ``schedule.hazard(n)``:
-# ``simulate_events``, called once per path, builds each hazard table once.
-# Schedules are frozen, so equal keys have equal hazards.
-_HAZARDS = {}
+# Expected redraws in one group of ``_event_paths``, held as Python events
+_GROUP_CELLS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -297,25 +295,34 @@ def simulate(d: int, schedule: Schedule, n_steps: int, rng: np.random.Generator,
 def simulate_events(d: int, schedule: Schedule, n_steps: int,
                     rng: np.random.Generator,
                     start: Sequence[int] | None = None) -> Path:
-    """Event-driven sampler with the same law as ``simulate``.
+    """Event-driven sampler with the same law as ``simulate``: one path of
+    ``_event_paths``."""
+    return next(_event_paths(d, schedule, n_steps, 1, rng, start))
 
-    Runs the blocked engine of ``sample_positions`` on one path and keeps
-    its distinct redraw steps, each with the last direction drawn there.
-    """
-    if n_steps < 0:
+
+def _event_paths(d, schedule, n, samples, rng, start=None):
+    """Yield ``samples`` run-engine paths, drawn from one hazard in groups of
+    about ``_GROUP_CELLS`` expected redraws.  A path's events are its distinct
+    redraw steps, each with the last direction drawn there, in step order."""
+    if n < 0:
         raise ValueError("n_steps must be nonnegative")
     origin = initial_state(d, start).position
-    events = []
-    if n_steps >= 1:
-        for lo, _hi, _rows, starts, length, dirs, _q, _end in _runs(d, schedule, n_steps,
-                                                                   1, rng):
+    if n == 0:
+        yield from (Path(origin, (), 0) for _ in range(samples))
+        return
+    hz = schedule.hazard(n)
+    group = max(1, int(_GROUP_CELLS // (1 + hz.at(n) + hz.n_forced(n))))
+    for g0 in range(0, samples, group):
+        events = [[] for _ in range(min(group, samples - g0))]
+        for lo, _hi, rows, starts, length, dirs, *_ in _runs(d, hz, n, len(events), rng):
             # a zero-length run is a draw overwritten at the same step; the
             # carried run is the step-1 draw in the first segment only
             keep = length > 0
             keep[:, 0] &= lo == 0
-            events += [TurnEvent(int(t), Direction.from_index(int(c)))
-                       for t, c in zip(starts[:, :-1][keep], dirs[keep])]
-    return Path(origin, tuple(events), n_steps)
+            for r, t, c in zip(np.repeat(rows, np.count_nonzero(keep, axis=1)).tolist(),
+                               starts[:, :-1][keep].tolist(), dirs[keep].tolist()):
+                events[r].append(TurnEvent(t, Direction.from_index(c)))
+        yield from (Path(origin, own, n) for own in events)
 
 
 def visits(path: Path, target: Sequence[int]) -> int:
@@ -440,7 +447,7 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
     else:
         cuts = set(times) | set(count_changes_in or ())
         for lo, hi, rows, _starts, length, dirs, _q, end in _runs(
-                d, schedule, n, samples, rng, cuts=cuts, first=first):
+                d, schedule.hazard(n), n, samples, rng, cuts=cuts, first=first):
             if hi in positions:
                 positions[hi][rows] = end
             if changes is not None and count_changes_in[0] <= lo \
@@ -527,23 +534,19 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
                        horizons: Sequence[int] | None = None) -> VisitStats:
     """Sample walks and count target visits at several nested horizons.
 
-    Each path's redraw set is drawn whole: step 1, the forced (p == 1)
-    steps, and the distinct steps hit by a unit-rate Poisson process in
-    cumulative-hazard time, or at a constant rate the steps that geometric
-    gaps reach (module docstring).  Per constant-direction run
-    the target can be met at most once, so hits are detected run by run
-    without storing positions.  All horizons must be <= n; they observe the
-    same paths, so per-path counts are monotone in the horizon by
-    construction.
+    The run engine (module docstring) draws each path's redraw set whole.
+    Per constant-direction run the target can be met at most once, so hits
+    are detected run by run without storing positions.  All horizons must
+    be <= n; they observe the same paths, so per-path counts are monotone
+    in the horizon by construction.
 
     The work runs in blocks of at most about ``_BLOCK_CELLS`` (paths x runs)
     cells, so beyond O(samples) per-path state and results, memory grows
     with neither ``samples`` nor ``n``; only a schedule without a
     closed-form hazard (not ``Constant`` or ``Critical``) adds its O(n)
-    hazard table, which stays cached until the engine runs another
-    schedule or horizon.  The steps are cut into segments of at most half a block
-    of expected redraws each; a path crosses a segment boundary carrying its
-    position and direction.
+    hazard table, which this call builds and frees.  The steps are cut into
+    segments of at most half a block of expected redraws each; a path
+    crosses a segment boundary carrying its position and direction.
     """
     _check_dimension(d)
     if n < 1:
@@ -560,8 +563,8 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     if samples == 0:
         return VisitStats(counts, late)
 
-    for _lo, _hi, rows, starts, length, dirs, q, _end in _runs(d, schedule, n, samples,
-                                                               rng, target=target):
+    for _lo, _hi, rows, starts, length, dirs, q, _end in _runs(
+            d, schedule.hazard(n), n, samples, rng, target=target):
         # the run hits iff the target lies ahead on its axis, within its
         # length: then the L1 distance equals the signed on-axis offset
         dist = np.abs(q).sum(axis=0, dtype=q.dtype)
@@ -612,14 +615,14 @@ def _segments(hz, n, cuts=(), first=0):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _runs(d, schedule, n, samples, rng, target=None, cuts=(), first=0):
+def _runs(d, hz, n, samples, rng, target=None, cuts=(), first=0):
     """Draw ``samples`` paths over steps first + 1..n and yield their runs by block.
 
     Each path starts at step ``first`` (0 for a whole path) with a uniform
     heading: step 1's draw, or the heading at step ``first``, whose law is
     the same.  The steps are cut into segments (``_segments``); each path
-    crosses a segment carrying its position and heading.  Per segment, the
-    hazard places each path's redraw steps (``redraws`` of ``Schedule.hazard``) in
+    crosses a segment carrying its position and heading.  Per segment, ``hz``,
+    the caller's ``schedule.hazard(n)``, places each path's redraw steps in
     blocks of at most about ``_BLOCK_CELLS`` runs: Poisson points in hazard
     time, or geometric gaps at a constant rate.  Per block, yields
 
@@ -634,10 +637,6 @@ def _runs(d, schedule, n, samples, rng, target=None, cuts=(), first=0):
     * ``q`` (d, b, m): position (S_t - S_first) minus ``target`` before
       each run, per coordinate, and ``end`` (b, d): the same after step hi.
     """
-    hz = _HAZARDS.get((schedule, n))
-    if hz is None:
-        _HAZARDS.clear()  # at most one O(n) table alive, even while building
-        hz = _HAZARDS[schedule, n] = schedule.hazard(n)
     target = (0,) * d if target is None else target
     # |position - target|_1 <= n + |target|_1 bounds every engine integer
     dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64

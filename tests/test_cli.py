@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from turnwalk import analytics, cli, verify
+from turnwalk import analytics, cli, verify, walk
+from turnwalk.schedule import PowerDecay
 from turnwalk.verify import EstimatorResult, TestReport, VolkovResult
 
 CONST_HALF = '{"kind": "Constant", "p": 0.5}'
 CRITICAL_1_N0_2 = '{"kind": "Critical", "a": 1, "n0": 2}'
+POWER_DECAY = '{"kind": "PowerDecay", "c": 1, "gamma": 0.7}'
 
 
 def _run(capsys, argv):
@@ -158,23 +160,25 @@ def test_simulate_out_file_matches_stdout(tmp_path, capsys):
 
 
 def test_simulate_pinned_digest(capsys):
-    # --samples 3 output of both samplers, sparse and dense, hashed per
-    # schedule.  The Critical stream is the one the Poisson placement had
-    # before constant rates took geometric gaps; the Constant one pins them.
+    # --samples 3 output, sparse and dense, hashed per schedule and sampler.
+    # The events sampler draws its three paths as one group of the run
+    # engine; at a constant rate it places them as geometric gaps.
     digests = {}
     for d, schedule, n in ((2, CONST_HALF, 30), (3, CRITICAL_1_N0_2, 50)):
-        h = hashlib.sha256()
         for sampler in ("step", "events"):
+            h = hashlib.sha256()
             for dense in ([], ["--dense"]):
                 rc, out, _ = _run(capsys, ["simulate", "--d", str(d), "--schedule",
                                            schedule, "--n", str(n), "--samples", "3",
                                            "--seed", "6", "--sampler", sampler, *dense])
                 assert rc == 0
                 h.update(out.encode())
-        digests[schedule] = h.hexdigest()
+            digests[schedule, sampler] = h.hexdigest()
     assert digests == {
-        CONST_HALF: "8562c5b43aaad8ef91eab5e3d15a91f3a3ec0fc65bcefac8c53c75e42a6a63b7",
-        CRITICAL_1_N0_2: "0848c14a486f92519fe932e02c927b3bdddcbc6435b43c681595a19df7f54a63",
+        (CONST_HALF, "step"): "96c316118b3b8b9c5baf6e3082aa3fe26cfeda8b1edeb6397e27dac788b8b7c5",
+        (CONST_HALF, "events"): "9a5337090efc2fb587c7c5c8a525353b4fe74e8553e7423f32c834bb190fe9d1",
+        (CRITICAL_1_N0_2, "step"): "5f93ea896d7f948d0c6100fe344e32cf43df5d9527cdd5a7c660ff1a176429d0",
+        (CRITICAL_1_N0_2, "events"): "6d0af0e25fc9a26bce893fce9e11c91282e004e878b84d8625c2193331c4c083",
     }
 
 
@@ -193,6 +197,30 @@ def test_simulate_memory_does_not_grow_with_samples(tmp_path):
         return top
 
     assert peak(30) < 1.5 * peak(10)
+
+
+def test_simulate_events_builds_one_hazard_table(tmp_path, monkeypatch):
+    # --sampler events runs the engine once per group of paths, and every
+    # group reads the one PowerDecay table that the command built
+    built, groups = [], []
+    prefix_probs, runs = PowerDecay.prefix_probs, walk._runs
+
+    def counted_table(self, n):
+        built.append(n)
+        return prefix_probs(self, n)
+
+    def counted_runs(*args, **kwargs):
+        groups.append(args[3])
+        return runs(*args, **kwargs)
+
+    monkeypatch.setattr(PowerDecay, "prefix_probs", counted_table)
+    monkeypatch.setattr(walk, "_runs", counted_runs)
+    rc = cli.run(["simulate", "--d", "2", "--schedule", POWER_DECAY, "--n", "1000000",
+                  "--samples", "50", "--sampler", "events",
+                  "--out", str(tmp_path / "paths.csv")])
+    assert rc == 0
+    assert sum(groups) == 50 and len(groups) > 1
+    assert built == [10 ** 6]
 
 
 def test_simulate_rejected_argument_writes_nothing(tmp_path, capsys):

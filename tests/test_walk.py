@@ -426,7 +426,7 @@ def test_visit_block_carries_each_rows_own_heading():
     # With unit spacings path 0 redraws at steps 3, 4, 7, 9.
     end = np.zeros((2, 1), dtype=np.int64)
     for _lo, hi, rows, *_, block_end in walk._runs(
-            1, Explicit((0.5,)), 10, 2, _ScriptedRng([2, 0]), cuts={5}):
+            1, Explicit((0.5,)).hazard(10), 10, 2, _ScriptedRng([2, 0]), cuts={5}):
         if hi == 10:
             end[rows] = block_end
     # path 0: +2 on steps 1-2, then back on steps 3-10
@@ -453,7 +453,7 @@ def test_gap_block_carries_each_rows_own_heading():
     # at 3, 5 and then, from step 5, at 7 and 9; path 1's gaps pass hi
     end = np.zeros((2, 1), dtype=np.int64)
     for _lo, hi, rows, *_, block_end in walk._runs(
-            1, Constant(0.5), 10, 2, _ScriptedGapRng(), cuts={5}):
+            1, Constant(0.5).hazard(10), 10, 2, _ScriptedGapRng(), cuts={5}):
         if hi == 10:
             end[rows] = block_end
     assert end[:, 0].tolist() == [-6, 10]
@@ -678,16 +678,22 @@ def test_run_engine_pinned_digest():
     }
 
 
-@pytest.mark.parametrize("case, cells", [(0, None), (1, None), (0, 4), (1, 4)])
-def test_simulate_events_matches_exact_law(monkeypatch, case, cells):
+@pytest.mark.parametrize("case, cells, grouped", [
+    pytest.param(case, cells, grouped, id=f"{'group-' * grouped}{case}-{cells}")
+    for case, cells, grouped in [(0, None, False), (1, None, False), (0, 4, False),
+                                 (1, 4, False), (1, None, True), (1, 4, True)]])
+def test_simulate_events_matches_exact_law(monkeypatch, case, cells, grouped):
     # the events are the distinct redraw steps, so their count has the law
-    # of the redraw set; four-cell blocks give the paths many segments
+    # of the redraw set; four-cell blocks give the paths many segments.
+    # Grouped, the paths come from one _event_paths call, not one call each.
     d, schedule, n, times, window = _POSITION_CASES[case]
     if cells:
         monkeypatch.setattr(walk, "_BLOCK_CELLS", cells)
-    rng = _rng(141 + case)
-    keys = [_path_key(walk.simulate_events(d, schedule, n, rng), times, window)
-            for _ in range(10_000)]
+    rng = _rng(141 + case + 2 * grouped)
+    paths = (walk._event_paths(d, schedule, n, 10_000, rng) if grouped else
+             (walk.simulate_events(d, schedule, n, rng) for _ in range(10_000)))
+    keys = [_path_key(path, times, window) for path in paths]
+    assert len(keys) == 10_000
     law = _exact_positions_law(d, schedule, n, times, window, redraws=True)
     assert _chi_square_pvalue(np.array(keys), law) > 1e-3
 
@@ -708,18 +714,22 @@ _SCHEDULES = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(_SCHEDULES, st.integers(min_value=1, max_value=3),
        st.integers(min_value=1, max_value=60), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([4, walk._BLOCK_CELLS]))
-def test_simulate_events_times_increase_from_one(schedule, d, n, seed, cells):
+       st.sampled_from([4, walk._BLOCK_CELLS]), st.integers(1, 5))
+def test_simulate_events_times_increase_from_one(schedule, d, n, seed, cells, size):
+    # one path, then a group of ``size`` paths from one _event_paths call
     with mock.patch.object(walk, "_BLOCK_CELLS", cells):
         path = walk.simulate_events(d, schedule, n, _rng(seed))
-    times = [ev.update_time for ev in path.events]
-    assert times[0] == 1
-    assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
-    assert times[-1] <= n
+        group = list(walk._event_paths(d, schedule, n, size, _rng(seed)))
+    assert len(group) == size
     p = schedule.prefix_probs(n)
-    # forced steps always redraw, frozen ones never do
-    assert {t for t in range(2, n + 1) if p[t - 1] >= 1.0} <= set(times)
-    assert not {t for t in times if t > 1 and p[t - 1] == 0.0}
+    for path in [path, *group]:
+        times = [ev.update_time for ev in path.events]
+        assert times[0] == 1
+        assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
+        assert times[-1] <= n
+        # forced steps always redraw, frozen ones never do
+        assert {t for t in range(2, n + 1) if p[t - 1] >= 1.0} <= set(times)
+        assert not {t for t in times if t > 1 and p[t - 1] == 0.0}
 
 
 @pytest.mark.parametrize("n, samples", [(4_000_000, 1), (100_000, 2_000)])
@@ -764,28 +774,16 @@ def test_simulate_events_memory_in_the_redraws():
     assert peak < 400 * n * p
 
 
-def test_run_engine_builds_each_hazard_table_once(monkeypatch):
-    # simulate_events runs the engine once per path: the same (schedule, n)
-    # reuses its table, a new n rebuilds it, and the old table is dropped
-    # before the new one is built
-    monkeypatch.setattr(walk, "_HAZARDS", {})
-    built = []
-    prefix_probs = PowerDecay.prefix_probs
-
-    def counted(self, n):
-        built.append((n, len(walk._HAZARDS)))
-        return prefix_probs(self, n)
-
-    monkeypatch.setattr(PowerDecay, "prefix_probs", counted)
-    schedule, rng = PowerDecay(1.0, 0.7), _rng(5)
-    for _ in range(3):
-        walk.simulate_events(2, schedule, 1_000, rng)
-    assert built == [(1_000, 0)]
-    walk.simulate_events(2, PowerDecay(1.0, 0.7), 1_000, rng)
-    assert built == [(1_000, 0)]
-    walk.simulate_events(2, schedule, 500, rng)
-    assert built == [(1_000, 0), (500, 0)]
-    assert list(walk._HAZARDS) == [(schedule, 500)]
+def test_no_hazard_table_outlives_the_engine():
+    # the caller of the run engine builds the O(n) table of a PowerDecay
+    # horizon and drops it: nothing of it stays allocated after the call
+    tracemalloc.start()
+    try:
+        walk.sample_visit_stats(2, PowerDecay(1.0, 0.7), 10 ** 6, 10, _rng(5))
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 1e6
 
 
 @pytest.mark.parametrize("schedule", [Critical(0.7, n0=3, prefix_p=0.4),
@@ -796,8 +794,8 @@ def test_run_engine_redraw_law_past_the_short_table(schedule):
     # distinct redraw steps there is a sum of independent Bernoulli(a/j)
     n, w = 1_000, 200
     counts = np.zeros(100_000, dtype=np.int64)
-    for _lo, _hi, rows, starts, length, *_ in walk._runs(1, schedule, n, counts.size,
-                                                         _rng(151)):
+    for _lo, _hi, rows, starts, length, *_ in walk._runs(1, schedule.hazard(n), n,
+                                                         counts.size, _rng(151)):
         redraw = (length[:, 1:] > 0) & (starts[:, 1:-1] > w)
         counts[rows] += np.count_nonzero(redraw, axis=1)
     law = np.array([1.0])
@@ -812,8 +810,8 @@ def _gap_redraws_and_width(n, p, samples, seed):
     block row held; through the run engine at the constant rate p."""
     redraws = np.zeros(samples, dtype=np.int64)
     widest = 0
-    for _lo, _hi, rows, _starts, length, *_ in walk._runs(1, Constant(p), n, samples,
-                                                          _rng(seed)):
+    for _lo, _hi, rows, _starts, length, *_ in walk._runs(1, Constant(p).hazard(n), n,
+                                                          samples, _rng(seed)):
         redraws[rows] += np.count_nonzero(length[:, 1:] > 0, axis=1)
         widest = max(widest, length.shape[1] - 1)
     return redraws, widest
