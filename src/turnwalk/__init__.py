@@ -66,15 +66,19 @@ from .verify import (
     RecurrencePoint,
     TestReport,
     VolkovResult,
+    covariance_report,
     critical_limit_test,
     envelope,
     estimate_covariance,
     estimate_tail,
     moment4_experiment,
+    moment4_report,
     recurrence_experiment,
+    recurrence_report,
     scaling_limit_test,
     tail_report,
     volkov_bc_experiment,
+    volkov_report,
 )
 
 __version__ = "0.1.0"

@@ -40,15 +40,13 @@ __all__ = [
 
 def correlation_e(schedule: Schedule, i: int, j: int) -> float:
     """Correlation of the step signs at times i <= j: the product of
-    (1 - p_k) over k = i+1 .. j.  Empty product (i == j) is 1."""
+    (1 - p_k) over k = i+1 .. j, in that order, reading each p_k at its step
+    (O(1) memory).  Empty product (i == j) is 1."""
     if not (isinstance(i, int) and isinstance(j, int)):
         raise TypeError("i and j must be integers")
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
-    if i == j:
-        return 1.0
-    p = schedule.prefix_probs(j)
-    return float(np.prod(1.0 - p[i:j]))
+    return float(math.prod(1.0 - schedule.p_at(k) for k in range(i + 1, j + 1)))
 
 
 def sgeom_moment(p, m: int):

@@ -11,15 +11,16 @@ Subcommands:
 * ``verify``     statistical experiments, as JSON reports
 
 Each verify experiment is one row of the ``_EXPERIMENTS`` table (flags,
-default ``--samples``, handler), which builds its parser and drives its
-dispatch; ``verify.envelope`` judges the bound and 4-s.e. verdicts.
+default ``--samples``, ``verify`` operation), which builds its parser and
+drives its dispatch.  ``verify`` builds and judges every report, and the
+exit code reads only the report's ``passed``.
 
 Artifacts are self-describing: CSV starts with a ``# config {...}`` comment
 line and JSON embeds a ``config`` object, so every file names the exact run
 that produced it.  Identical argv produce byte-identical output.  JSON is
 strict: non-finite numbers are written as null.
 
-Exit codes: 0 success; 1 a verdict or statistical test failed; 2 usage or
+Exit codes: 0 success; 1 a verify report's ``passed`` is false; 2 usage or
 precondition error; 3 an unexpected internal error (a crash never reads as a
 failed verdict).
 """
@@ -207,74 +208,17 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-# verify experiments: each handler returns (report, passed) and looks its op up
-# in ``verify`` at call time, so a rebound module attribute is the one that runs
-
-
-def _verify_tail(args, common):
-    report = verify.tail_report(args.d, args.p, args.n, args.a, **common)
-    return report, report["verdict"] == "holds"
-
-
-def _verify_covariance(args, common):
-    result = verify.estimate_covariance(args.schedule, args.i, args.j, **common)
-    cfg = {"schedule": args.schedule.to_json(), "i": args.i, "j": args.j, **common}
-    expected = analytics.correlation_e(args.schedule, args.i, args.j)
-    report = verify.envelope("covariance", cfg, result, expected=expected)
-    return report, report["within_4se"]
-
-
-def _verify_scaling(args, common):
-    report = verify.scaling_limit_test(args.d, args.p, args.n, **common)
-    return report.to_json(), not report.rejected
-
-
-def _verify_critical(args, common):
-    report = verify.critical_limit_test(args.d, args.a, args.n, delta=args.delta,
-                                        zigzag_samples=args.zigzag_samples, **common)
-    return report.to_json(), not report.rejected
-
-
-def _verify_recurrence(args, common):
-    points = verify.recurrence_experiment(args.d, args.schedule, args.horizons,
-                                          **common)
-    cfg = {"d": args.d, "schedule": args.schedule.to_json(),
-           "horizons": args.horizons, **common}
-    return {"op": "recurrence", "config": cfg,
-            "points": [pt.to_json() for pt in points]}, True
-
-
-def _verify_volkov(args, common):
-    result = verify.volkov_bc_experiment(args.p, args.i, args.j,
-                                         horizon=args.horizon, **common)
-    exp_single, _ = analytics.gambler_pass_once(args.p, math.inf)
-    _, exp_joint = analytics.gambler_pass_once(args.p, args.j - args.i)
-    cfg = {"p": args.p, "i": args.i, "j": args.j, **common,
-           "horizon": result.horizon, "certified_error": result.certified_error}
-    single = verify.envelope("volkov_single", cfg, result.single, expected=exp_single)
-    joint = verify.envelope("volkov_joint", cfg, result.joint, expected=exp_joint)
-    return ({"op": "volkov", "config": cfg, "single": single, "joint": joint},
-            single["within_4se"] and joint["within_4se"])
-
-
-def _verify_moment4(args, common):
-    result = verify.moment4_experiment(args.p, args.n, **common)
-    cfg = {"p": args.p, "n": args.n, **common}
-    expected = analytics.fourth_moment_L(args.p, args.n)
-    report = verify.envelope("moment4", cfg, result, expected=expected)
-    return report, report["within_4se"]
-
-
-# name -> (required flags, optional flags, default --samples, handler)
+# name -> (required flags, optional flags, default --samples, operation): the
+# flags are passed by name to the ``verify`` operation of that name
 _EXPERIMENTS = {
-    "tail": (("d", "p", "n", "a"), (), 100_000, _verify_tail),
-    "covariance": (("schedule", "i", "j"), (), 1_000_000, _verify_covariance),
-    "scaling": (("d", "p", "n"), (), 10_000, _verify_scaling),
+    "tail": (("d", "p", "n", "a"), (), 100_000, "tail_report"),
+    "covariance": (("schedule", "i", "j"), (), 1_000_000, "covariance_report"),
+    "scaling": (("d", "p", "n"), (), 10_000, "scaling_limit_test"),
     "critical": (("d", "a", "n", "delta"), ("zigzag_samples",), 100_000,
-                 _verify_critical),
-    "recurrence": (("d", "schedule", "horizons"), (), 10_000, _verify_recurrence),
-    "volkov": (("p", "i", "j"), ("horizon",), 100_000, _verify_volkov),
-    "moment4": (("p", "n"), (), 100_000, _verify_moment4),
+                 "critical_limit_test"),
+    "recurrence": (("d", "schedule", "horizons"), (), 10_000, "recurrence_report"),
+    "volkov": (("p", "i", "j"), ("horizon",), 100_000, "volkov_report"),
+    "moment4": (("p", "n"), (), 100_000, "moment4_report"),
 }
 
 # the type of every flag the table names, and the one help text among them
@@ -285,10 +229,15 @@ _VERIFY_HELP = {"horizons": "comma-separated, e.g. '1000,10000,100000'"}
 
 
 def _cmd_verify(args) -> int:
-    common = {"samples": args.samples, "seed": args.seed, "shards": args.shards}
-    report, passed = _EXPERIMENTS[args.experiment][-1](args, common)
+    required, optional, _samples, op = _EXPERIMENTS[args.experiment]
+    flags = {flag: getattr(args, flag) for flag in required + optional}
+    # looked up at call time, so a rebound module attribute is the one that runs
+    report = getattr(verify, op)(**flags, samples=args.samples, seed=args.seed,
+                                 shards=args.shards)
+    if isinstance(report, verify.TestReport):
+        report = report.to_json()
     _emit_json(report, args.out)
-    return 0 if passed else 1
+    return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify", help="statistical experiments as JSON")
     exps = ver.add_subparsers(dest="experiment", required=True)
 
-    for name, (required, optional, samples, _handler) in _EXPERIMENTS.items():
+    for name, (required, optional, samples, _op) in _EXPERIMENTS.items():
         exp = exps.add_parser(name)
         for flag in required + optional:
             exp.add_argument("--" + flag.replace("_", "-"), type=_VERIFY_TYPES[flag],

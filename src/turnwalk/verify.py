@@ -11,15 +11,16 @@ indices 0..shards-1.  Shards are therefore reproducible and non-overlapping,
 may run in any order, and aggregate through sums, so identical
 (seed, shards, config) always produce bit-identical results.
 
-Each bound comparison reports estimate, standard error and bound; the bound
-"holds" when estimate - 4 se <= bound, one-sided, because the inequalities
-being checked are one-sided.  A comparison with an exact value is
-two-sided: ``within_4se`` when |estimate - expected| <= 4 se.  Statistical
-tests report a normalized statistic: the maximum over their sub-checks of
-(observed / allowed), so the rejection rule is uniformly "statistic > 1".
-A sub-check with zero allowance scores 0 on an exact match and +inf
-otherwise.  A NaN sub-check makes the statistic NaN, and a statistic that
-is not a number is rejected.
+Every experiment scores named (observed, allowed) sub-checks by observed /
+allowed (``_ratio``: a zero allowance scores 0 on an exact match, else
++inf), and every report ends with ``statistic`` (the largest score, a NaN
+one first), ``argmax`` (its sub-check's name, null if none) and ``passed``
+(statistic <= 1).  A bound is the one-sided sub-check ``bound``, observed
+max(estimate - 4 se, 0), so it "holds" iff estimate - 4 se <= bound; an
+exact value is the two-sided ``expected``, observed |estimate - expected|
+against 4 se (``within_4se``).  For finite nonnegative observed and
+positive allowed, the rounded observed / allowed <= 1 iff observed <=
+allowed, so the scores agree with these flags bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from scipy.special import gammaincinv, gammaln, ndtr
 
 from . import walk
+from .analytics import correlation_e, fourth_moment_L, gambler_pass_once, ld_bound
 from .schedule import Constant, Critical, Schedule
 from .zigzag import b_from_a, sample_endpoints
 
@@ -43,11 +45,15 @@ __all__ = [
     "estimate_tail",
     "tail_report",
     "estimate_covariance",
+    "covariance_report",
     "scaling_limit_test",
     "critical_limit_test",
     "recurrence_experiment",
+    "recurrence_report",
     "volkov_bc_experiment",
+    "volkov_report",
     "moment4_experiment",
+    "moment4_report",
     "envelope",
 ]
 
@@ -86,8 +92,9 @@ def _shard_sizes(samples: int, shards: int) -> list:
 
 
 def _sharded(samples: int, shards: int, seed: int, stream: str):
-    """Yield (size, rng) for each nonempty shard of an operation's stream."""
-    for s, size in enumerate(_shard_sizes(samples, shards)):
+    """Yield (size, rng) for each nonempty shard of an operation's stream:
+    shards 0..min(samples, shards) - 1, the only ones listed."""
+    for s, size in enumerate(_shard_sizes(samples, min(shards, max(samples, 1)))):
         if size:
             yield size, stream_rng(seed, stream, s)
 
@@ -151,9 +158,12 @@ class TestReport:
     rejected: bool = field(init=False)  # third, as in the JSON key order
     config: dict
     details: dict = field(default_factory=dict)
+    argmax: str | None = None
+    passed: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rejected", not self.statistic <= self.threshold)
+        object.__setattr__(self, "passed", not self.rejected)
 
     def to_json(self) -> dict:
         return _builtin(asdict(self))
@@ -166,6 +176,19 @@ def _ratio(observed: float, allowed: float) -> float:
     if allowed == 0.0:
         return 0.0 if observed == 0.0 else math.inf
     return observed / allowed
+
+
+def _judge(checks: dict) -> dict:
+    """statistic, argmax and passed of named (observed, allowed) sub-checks."""
+    ratios = {name: _ratio(*check) for name, check in checks.items()}
+    argmax = max(ratios, key=lambda k: (math.isnan(ratios[k]), ratios[k]), default=None)
+    statistic = 0.0 if argmax is None else float(ratios[argmax])
+    return {"statistic": statistic, "argmax": argmax, "passed": statistic <= 1.0}
+
+
+def _agreement(result: EstimatorResult, expected: float) -> tuple:
+    """The two-sided sub-check: |estimate - expected| against 4 s.e."""
+    return abs(result.estimate - expected), 4.0 * result.std_error
 
 
 def _mean_estimator(sum_x: float, sum_x2: float, n: int, seed: int,
@@ -185,23 +208,24 @@ def _proportion_estimator(hits: int, n: int, seed: int, shards: int) -> Estimato
 
 def envelope(op: str, config: dict, result: EstimatorResult,
              bound: float | None = None, expected: float | None = None) -> dict:
-    """Self-describing JSON object for one estimator run.
-
-    When a bound is supplied, the verdict is "holds" iff
-    estimate - 4 std_error <= bound (one-sided check).  When an exact value
-    is supplied, ``within_4se`` is true iff
-    |estimate - expected| <= 4 std_error (two-sided check).
+    """Self-describing JSON object for one estimator run, judged as in the
+    module docstring: a bound (>= 0) is the sub-check ``bound``, its
+    ``verdict`` "holds" or "violated", and an exact value the sub-check
+    ``expected``, its flag ``within_4se``.
     """
     out = {"op": op, "config": _builtin(config)}
     out.update(result.to_json())
+    checks = {}
     if bound is not None:
         out["bound"] = float(bound)
-        out["verdict"] = ("holds" if result.estimate - 4.0 * result.std_error <= bound
-                          else "violated")
+        # estimate first, so a NaN estimate is not clipped away
+        checks["bound"] = (max(result.estimate - 4.0 * result.std_error, 0.0), bound)
+        out["verdict"] = "holds" if _ratio(*checks["bound"]) <= 1.0 else "violated"
     if expected is not None:
         out["expected"] = float(expected)
-        out["within_4se"] = abs(result.estimate - expected) <= 4.0 * result.std_error
-    return out
+        checks["expected"] = _agreement(result, expected)
+        out["within_4se"] = _ratio(*checks["expected"]) <= 1.0
+    return {**out, **_judge(checks)}
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +310,7 @@ def estimate_tail(d: int, p: float, n: int, a: float, samples: int,
 
 def tail_report(d: int, p: float, n: int, a: float, samples: int,
                 seed: int = 0, shards: int = 1) -> dict:
-    """estimate_tail plus its closed-form bound, as the JSON envelope."""
-    from .analytics import ld_bound
+    """estimate_tail judged against its closed-form bound, as the JSON envelope."""
     result = estimate_tail(d, p, n, a, samples, seed=seed, shards=shards)
     config = {"d": d, "p": p, "n": n, "a": a, "samples": samples,
               "seed": seed, "shards": shards}
@@ -317,6 +340,15 @@ def estimate_covariance(schedule: Schedule, i: int, j: int, samples: int,
     return _mean_estimator(total, samples, samples, seed, shards)
 
 
+def covariance_report(schedule: Schedule, i: int, j: int, samples: int,
+                      seed: int = 0, shards: int = 1) -> dict:
+    """estimate_covariance judged against prod (1 - p_k), as the JSON envelope."""
+    result = estimate_covariance(schedule, i, j, samples, seed=seed, shards=shards)
+    config = {"schedule": schedule.to_json(), "i": i, "j": j, "samples": samples,
+              "seed": seed, "shards": shards}
+    return envelope("covariance", config, result, expected=correlation_e(schedule, i, j))
+
+
 def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
                        shards: int = 1, alpha: float = 0.01) -> TestReport:
     """Endpoint normality check under diffusive rescaling.
@@ -326,8 +358,9 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
     on an axis joins the (2-p)/p run-length factor).  Sub-checks, each
     contributing observed/allowed to the normalized statistic: per-coordinate
     KS distance to the standard normal against the alpha critical value plus
-    a one-lattice-spacing allowance; per-coordinate variance within 4% of 1;
-    pairwise cross-covariances within 4 s.e. of 0.
+    a one-lattice-spacing allowance (``ks[c]``); per-coordinate variance
+    within 4% of 1 (``variance[c]``); pairwise cross-covariances within
+    4 s.e. of 0 (``cross[c1,c2]``).
     """
     if n < 1_000:
         raise ValueError("scaling_limit_test needs n >= 10^3 to be meaningful")
@@ -348,8 +381,8 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
     ks_thresh = ks_critical(alpha) / math.sqrt(samples) + spacing
     ks = [ks_one_sample_normal(z[:, c]) for c in range(d)]
     variances = z.var(axis=0, ddof=1)
-    ratios = [_ratio(dc, ks_thresh) for dc in ks]
-    ratios += [_ratio(abs(v - 1.0), 0.04) for v in variances]
+    checks = {f"ks[{c}]": (dc, ks_thresh) for c, dc in enumerate(ks)}
+    checks.update({f"variance[{c}]": (abs(v - 1.0), 0.04) for c, v in enumerate(variances)})
     cross = []
     for c1 in range(d):
         for c2 in range(c1 + 1, d):
@@ -357,7 +390,7 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
             cov = float(prod.mean())
             se = float(prod.std(ddof=1)) / math.sqrt(samples)
             cross.append({"axes": [c1, c2], "cov": cov, "std_error": se})
-            ratios.append(_ratio(abs(cov), 4.0 * se))
+            checks[f"cross[{c1},{c2}]"] = (abs(cov), 4.0 * se)
     config = {"op": "scaling", "d": d, "p": p, "n": n, "samples": samples,
               "seed": seed, "shards": shards, "alpha": alpha}
     details = {
@@ -368,8 +401,8 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
         "variance_band": [0.96, 1.04],
         "cross_covariances": cross,
     }
-    return TestReport(statistic=float(np.max(ratios)), threshold=1.0,
-                      config=config, details=details)
+    verdict = _judge(checks)
+    return TestReport(verdict["statistic"], 1.0, config, details, verdict["argmax"])
 
 
 def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
@@ -382,11 +415,13 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     the zigzag side so both laws carry the same truncation:
 
     1. the number of direction changes of the walk in (delta n, n] is
-       compared to Poisson(b ln(1/delta)) by mean (4 s.e.) and by chi-square;
+       compared to Poisson(b ln(1/delta)) by mean (4 s.e., sub-check
+       ``turn_count_mean``) and by chi-square (``chi2``);
     2. the rescaled windowed displacement (S_n - S_{floor(delta n)})/n is
-       compared per coordinate and in Euclidean norm to the truncated zigzag
-       endpoint Z_1 by two-sample KS.  Matching the truncations also matches
-       the straight-run atoms (both sit exactly at 1 - delta).
+       compared per coordinate (``ks[c]``) and in Euclidean norm
+       (``ks_norm``) to the truncated zigzag endpoint Z_1 by two-sample KS.
+       Matching the truncations also matches the straight-run atoms (both
+       sit exactly at 1 - delta).
 
     Both legs read only steps m + 1..n, m = floor(delta n), so the walks
     start at step m with a uniform heading (``sample_positions(first=m)``),
@@ -432,8 +467,9 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     ks_norm = ks_two_sample(np.linalg.norm(windowed, axis=1),
                             np.linalg.norm(zz, axis=1))
 
-    ratios = [_ratio(abs(mean - lam), 4.0 * se), _ratio(chi_stat, chi_crit)]
-    ratios += [_ratio(dc, ks_thresh) for dc in ks_coords + [ks_norm]]
+    checks = {"turn_count_mean": (abs(mean - lam), 4.0 * se), "chi2": (chi_stat, chi_crit)}
+    checks.update({f"ks[{c}]": (dc, ks_thresh) for c, dc in enumerate(ks_coords)})
+    checks["ks_norm"] = (ks_norm, ks_thresh)
     config = {"op": "critical", "d": d, "a": a, "n": n, "samples": samples,
               "zigzag_samples": zigzag_samples, "delta": delta, "seed": seed,
               "shards": shards, "alpha": alpha}
@@ -449,8 +485,8 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
         "ks_norm": ks_norm,
         "ks_threshold": ks_thresh,
     }
-    return TestReport(statistic=float(np.max(ratios)), threshold=1.0,
-                      config=config, details=details)
+    verdict = _judge(checks)
+    return TestReport(verdict["statistic"], 1.0, config, details, verdict["argmax"])
 
 
 @dataclass(frozen=True)
@@ -503,6 +539,16 @@ def recurrence_experiment(d: int, schedule: Schedule, horizons, samples: int,
         se_frac = math.sqrt(frac * (1.0 - frac) / samples)
         out.append(RecurrencePoint(h, mean, se, frac, se_frac))
     return out
+
+
+def recurrence_report(d: int, schedule: Schedule, horizons, samples: int,
+                      seed: int = 0, shards: int = 1) -> dict:
+    """recurrence_experiment as a JSON report: informational, no sub-checks yet."""
+    points = recurrence_experiment(d, schedule, horizons, samples, seed=seed, shards=shards)
+    config = {"d": d, "schedule": schedule.to_json(), "horizons": horizons,
+              "samples": samples, "seed": seed, "shards": shards}
+    return {"op": "recurrence", "config": config,
+            "points": [pt.to_json() for pt in points], **_judge({})}
 
 
 @dataclass(frozen=True)
@@ -611,6 +657,24 @@ def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
                         certified_error=cert)
 
 
+def volkov_report(p: float, i: int, j: int, samples: int, horizon: int | None = None,
+                  seed: int = 0, shards: int = 1) -> dict:
+    """volkov_bc_experiment judged against the pass-once probabilities: an
+    envelope per half, and the sub-checks ``single`` and ``joint`` on top."""
+    result = volkov_bc_experiment(p, i, j, samples, horizon=horizon, seed=seed,
+                                  shards=shards)
+    exp_single, _ = gambler_pass_once(p, math.inf)
+    _, exp_joint = gambler_pass_once(p, j - i)
+    config = {"p": p, "i": i, "j": j, "samples": samples, "seed": seed, "shards": shards,
+              "horizon": result.horizon, "certified_error": result.certified_error}
+    checks = {"single": _agreement(result.single, exp_single),
+              "joint": _agreement(result.joint, exp_joint)}
+    return {"op": "volkov", "config": config,
+            "single": envelope("volkov_single", config, result.single, expected=exp_single),
+            "joint": envelope("volkov_joint", config, result.joint, expected=exp_joint),
+            **_judge(checks)}
+
+
 def moment4_experiment(p: float, n: int, samples: int, seed: int = 0,
                        shards: int = 1) -> EstimatorResult:
     """Empirical E[L_n^4] of the 1-d walk, s.e. from the sample variance."""
@@ -625,3 +689,11 @@ def moment4_experiment(p: float, n: int, samples: int, seed: int = 0,
         sum_x += float(x.sum())
         sum_x2 += float((x * x).sum())
     return _mean_estimator(sum_x, sum_x2, samples, seed, shards)
+
+
+def moment4_report(p: float, n: int, samples: int, seed: int = 0,
+                   shards: int = 1) -> dict:
+    """moment4_experiment judged against the exact E[L_n^4], as the JSON envelope."""
+    result = moment4_experiment(p, n, samples, seed=seed, shards=shards)
+    config = {"p": p, "n": n, "samples": samples, "seed": seed, "shards": shards}
+    return envelope("moment4", config, result, expected=fourth_moment_L(p, n))

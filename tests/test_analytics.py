@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from turnwalk import analytics, oracle
 from turnwalk.analytics import LyapunovConfig
-from turnwalk.schedule import Constant, Critical
+from turnwalk.schedule import Constant, Critical, Explicit, Periodic, PowerDecay
 
 
 # --- step-sign correlations ---
@@ -18,6 +19,27 @@ def test_correlation_examples():
     assert analytics.correlation_e(Constant(0.5), 2, 4) == pytest.approx(0.25)
     # p_k = 1/k: telescoping product (10/11)(11/12)
     assert analytics.correlation_e(Critical(1.0, n0=1), 10, 12) == pytest.approx(10 / 12)
+
+
+def test_correlation_reads_only_its_window():
+    tracemalloc.start()
+    try:
+        e = analytics.correlation_e(Constant(0.5), 10 ** 7 - 1, 10 ** 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e == 0.5
+    assert peak < 1 << 20  # a table of p_1..p_j would take 80 MB
+
+
+@pytest.mark.parametrize("sched", [
+    Constant(0.3), Critical(1, n0=2), Critical(2.0, n0=3), PowerDecay(1, 0.7),
+    Periodic((0.1, 0.9, 0.35), n0=3), Explicit((1, 0.2, 0.77, 0.31))])
+def test_correlation_equals_the_table_product_bit_for_bit(sched):
+    # the window's factors, multiplied in step order, as np.prod of the table does
+    for i, j in [(1, 2), (3, 3), (2, 40), (17, 1000), (999, 5000)]:
+        table = sched.prefix_probs(j)
+        assert analytics.correlation_e(sched, i, j) == float(np.prod(1.0 - table[i:j]))
 
 
 def test_correlation_validation():

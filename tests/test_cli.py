@@ -397,16 +397,15 @@ def test_verify_precondition_exit_2(capsys):
 
 
 def test_verify_violated_verdict_exit_1(capsys, monkeypatch):
-    def fake_tail_report(*args, **kwargs):
-        return {"op": "tail", "config": {}, "estimate": 0.9, "std_error": 0.0,
-                "n_samples": 1, "ci95": [0.9, 0.9], "seed": 0, "shards": 1,
-                "bound": 0.1, "verdict": "violated"}
-
-    monkeypatch.setattr(verify, "tail_report", fake_tail_report)
+    # the real envelope judges a faked estimate far above the bound (0.27)
+    monkeypatch.setattr(verify, "estimate_tail",
+                        lambda *args, **kwargs: _estimate(0.9))
     rc, out, _ = _run(capsys, ["verify", "tail", "--d", "1", "--p", "0.5",
-                               "--n", "10", "--a", "5", "--samples", "10"])
+                               "--n", "10", "--a", "40", "--samples", "10"])
     assert rc == 1
-    assert json.loads(out)["verdict"] == "violated"
+    blob = json.loads(out)
+    assert blob["verdict"] == "violated"
+    assert blob["argmax"] == "bound" and blob["passed"] is False
 
 
 def test_verify_rejected_report_exit_1(capsys, monkeypatch):
@@ -472,6 +471,93 @@ _VERIFY_ARGS = {
     "volkov": ["--p", "0.7", "--i", "2", "--j", "3"],
     "moment4": ["--p", "0.5", "--n", "10"],
 }
+
+
+def _force_scaling_ks(monkeypatch, value):
+    """The second coordinate's KS distance becomes ``value``."""
+    real, calls = verify.ks_one_sample_normal, []
+
+    def ks(values):
+        calls.append(None)
+        return value if len(calls) == 2 else real(values)
+    monkeypatch.setattr(verify, "ks_one_sample_normal", ks)
+
+
+def _force_critical_chi2(monkeypatch):
+    real = verify.poisson_gof
+
+    def gof(counts, lam, alpha):
+        _stat, crit, dof = real(counts, lam, alpha=alpha)
+        return 100.0 * crit, crit, dof
+    monkeypatch.setattr(verify, "poisson_gof", gof)
+
+
+def _force_volkov(monkeypatch, bad):
+    single, _ = analytics.gambler_pass_once(0.7, math.inf)
+    _, joint = analytics.gambler_pass_once(0.7, 1)
+    halves = {"single": single, "joint": joint}
+    fake = {k: _estimate(v + (0.5 if k == bad else 0.0)) for k, v in halves.items()}
+    monkeypatch.setattr(verify, "volkov_bc_experiment",
+                        lambda *args, **kwargs: VolkovResult(**fake, horizon=512,
+                                                             certified_error=0.0))
+
+
+def _fake(name, value):
+    return lambda monkeypatch: monkeypatch.setattr(
+        verify, name, lambda *args, **kwargs: _estimate(value))
+
+
+# experiment, argv, forcing, the sub-check it pushes over its allowance
+_FORCED = [
+    ("tail", ["--d", "1", "--p", "0.5", "--n", "10", "--a", "40"],
+     _fake("estimate_tail", 0.9), "bound"),
+    ("covariance", _VERIFY_ARGS["covariance"], _fake("estimate_covariance", 0.0),
+     "expected"),
+    ("moment4", _VERIFY_ARGS["moment4"], _fake("moment4_experiment", 0.0), "expected"),
+    ("scaling", _VERIFY_ARGS["scaling"],
+     lambda monkeypatch: _force_scaling_ks(monkeypatch, 1.0), "ks[1]"),
+    ("critical", _VERIFY_ARGS["critical"], _force_critical_chi2, "chi2"),
+    ("volkov", _VERIFY_ARGS["volkov"],
+     lambda monkeypatch: _force_volkov(monkeypatch, "single"), "single"),
+    ("volkov", _VERIFY_ARGS["volkov"],
+     lambda monkeypatch: _force_volkov(monkeypatch, "joint"), "joint"),
+]
+
+
+@pytest.mark.parametrize("exp,args,force,name", _FORCED,
+                         ids=[f"{exp}-{name}" for exp, _a, _f, name in _FORCED])
+def test_verify_forced_subcheck_flips_exit_and_names_it(capsys, monkeypatch, exp,
+                                                        args, force, name):
+    argv = ["verify", exp, *args, "--samples", "2000", "--seed", "3"]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0 and json.loads(out)["passed"] is True
+    force(monkeypatch)
+    rc, out, _ = _run(capsys, argv)
+    blob = json.loads(out)
+    assert rc == 1
+    assert blob["passed"] is False and blob["statistic"] > 1.0
+    assert blob["argmax"] == name
+
+
+@pytest.mark.parametrize("exp,force,name", [
+    ("scaling", lambda monkeypatch: _force_scaling_ks(monkeypatch, math.nan), "ks[1]"),
+    ("covariance", _fake("estimate_covariance", math.nan), "expected"),
+    ("tail", _fake("estimate_tail", math.nan), "bound"),
+])
+def test_verify_nan_subcheck_exits_1_and_names_it(capsys, monkeypatch, exp, force,
+                                                  name):
+    force(monkeypatch)
+    rc, out, _ = _run(capsys, ["verify", exp, *_VERIFY_ARGS[exp], "--samples", "2000"])
+    blob = json.loads(out)
+    assert rc == 1
+    assert blob["passed"] is False and blob["statistic"] is None
+    assert blob["argmax"] == name
+
+
+def test_verify_recurrence_is_informational(capsys):
+    blob = _run_json(capsys, ["verify", "recurrence", *_VERIFY_ARGS["recurrence"],
+                              "--samples", "10"])
+    assert (blob["statistic"], blob["argmax"], blob["passed"]) == (0.0, None, True)
 
 
 @pytest.mark.parametrize("exp", sorted(_VERIFY_ARGS))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as sps
 
 from turnwalk import analytics, verify, zigzag
@@ -58,6 +58,18 @@ def test_sharded_skips_empty_shards_and_keeps_shard_streams():
         assert rng.random() == stream_rng(7, "tail", s).random()
 
 
+def test_sharded_lists_only_nonempty_shards():
+    tracemalloc.start()
+    try:
+        wide = verify.moment4_experiment(0.5, 10, 10, shards=10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    narrow = verify.moment4_experiment(0.5, 10, 10, shards=10)
+    assert (wide.estimate, wide.std_error) == (narrow.estimate, narrow.std_error)
+
+
 # --- result containers ---
 
 def test_estimator_result_validation_and_json():
@@ -77,7 +89,9 @@ def test_report_rejected_flag():
     assert not TestReport(0.3, 1.0, cfg).rejected
     assert TestReport(math.nan, 1.0, cfg).rejected
     blob = TestReport(0.3, 1.0, cfg, {"note": []}).to_json()
-    assert list(blob) == ["statistic", "threshold", "rejected", "config", "details"]
+    assert list(blob) == ["statistic", "threshold", "rejected", "config", "details",
+                          "argmax", "passed"]
+    assert blob["argmax"] is None and blob["passed"] is True
     json.dumps(blob)
 
 
@@ -85,8 +99,10 @@ def test_envelope_verdicts_and_key_order():
     r = EstimatorResult(0.5, 0.01, 1000, (0.48, 0.52), 3, 2)
     env = envelope("demo", {"p": 0.5}, r, bound=0.46)
     assert list(env) == ["op", "config", "estimate", "std_error", "n_samples",
-                         "ci95", "seed", "shards", "bound", "verdict"]
+                         "ci95", "seed", "shards", "bound", "verdict",
+                         "statistic", "argmax", "passed"]
     assert env["verdict"] == "holds"  # 0.5 - 0.04 = 0.46 <= 0.46
+    assert env["argmax"] == "bound" and env["passed"] is True
     env = envelope("demo", {"p": 0.5}, r, bound=0.459)
     assert env["verdict"] == "violated"
     env = envelope("demo", {"p": 0.5}, r)
@@ -98,16 +114,69 @@ def test_envelope_agreement_flag_and_key_order():
     r = EstimatorResult(0.5, 0.125, 1000, (0.25, 0.75), 3, 2)  # 4 s.e. = 0.5
     env = envelope("demo", {"p": 0.5}, r, expected=1.0)
     assert list(env) == ["op", "config", "estimate", "std_error", "n_samples",
-                         "ci95", "seed", "shards", "expected", "within_4se"]
+                         "ci95", "seed", "shards", "expected", "within_4se",
+                         "statistic", "argmax", "passed"]
     assert env["expected"] == 1.0 and env["within_4se"] is True
     assert envelope("demo", {}, r, expected=0.0)["within_4se"] is True
     assert envelope("demo", {}, r, expected=1.0 + 1e-9)["within_4se"] is False
     assert envelope("demo", {}, r, expected=-0.25)["within_4se"] is False
     both = envelope("demo", {}, r, bound=0.0, expected=0.5)
-    assert list(both)[-4:] == ["bound", "verdict", "expected", "within_4se"]
+    assert list(both)[-7:] == ["bound", "verdict", "expected", "within_4se",
+                               "statistic", "argmax", "passed"]
     nan = EstimatorResult(math.nan, 0.125, 1000, (0.0, 1.0), 3, 2)
     assert envelope("demo", {}, nan, expected=0.5)["within_4se"] is False
     json.dumps(env)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEG = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+def _near(x: float, steps: int) -> float:
+    """x moved ``steps`` floats up (or down, when negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@settings(max_examples=500, deadline=None)
+@given(_NONNEG, _NONNEG, st.integers(-2, 2), st.booleans())
+def test_ratio_at_most_one_is_exactly_observed_at_most_allowed(o, a, steps, adjacent):
+    # adjacent pairs (o one or two floats from a) are where rounding could bite
+    if adjacent:
+        o = max(0.0, _near(a, steps))
+    assert (verify._ratio(o, a) <= 1.0) == (o <= a)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FINITE, _NONNEG, _FINITE, st.integers(-2, 2), st.booleans())
+def test_bound_subcheck_is_exactly_the_one_sided_rule(e, s, b, steps, adjacent):
+    if adjacent:
+        b = _near(e - 4.0 * s, steps)
+    assume(0.0 < b < math.inf)
+    holds = e - 4.0 * s <= b
+    assert (verify._ratio(max(0.0, e - 4.0 * s), b) <= 1.0) == holds
+    env = envelope("demo", {}, EstimatorResult(e, s, 1, (e, e), 0, 1), bound=b)
+    assert env["passed"] == holds and (env["verdict"] == "holds") == holds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e300, 1e300), st.floats(0.0, 1e300), st.floats(-1e300, 1e300))
+def test_expected_subcheck_is_exactly_the_two_sided_rule(e, s, x):
+    # bounded so that |e - x| and 4 s stay finite: inf / inf would be NaN
+    within = abs(e - x) <= 4.0 * s
+    env = envelope("demo", {}, EstimatorResult(e, s, 1, (e, e), 0, 1), expected=x)
+    assert env["passed"] == env["within_4se"] == within
+
+
+def test_judge_names_the_largest_subcheck_and_nan_wins():
+    judge = verify._judge
+    assert judge({}) == {"statistic": 0.0, "argmax": None, "passed": True}
+    assert judge({"a": (1.0, 2.0), "b": (3.0, 2.0), "c": (3.0, 2.0)}) == {
+        "statistic": 1.5, "argmax": "b", "passed": False}
+    nan = judge({"a": (5.0, 1.0), "b": (math.nan, 1.0), "c": (9.0, 1.0)})
+    assert math.isnan(nan["statistic"]) and nan["argmax"] == "b" and not nan["passed"]
+    assert judge({"zero": (0.0, 0.0)})["argmax"] == "zero"
 
 
 def test_envelope_cleans_numpy_scalars():

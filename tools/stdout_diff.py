@@ -8,7 +8,10 @@ written, and the CLI ops of its ``perfbench/workloads.py`` at workload seed
 its ``src/`` first on the import path, through ``turnwalk.cli.run`` with
 stdout captured.  Per argv the tool prints ``identical`` or ``changed``, the
 exit codes of parent and change, and the command; it exits 0 when every
-argv is identical and 1 otherwise.
+argv is identical and 1 otherwise.  When both stdouts of a changed argv are
+JSON objects, it also lists the key paths (``$.single.within_4se``) that
+were added, removed, changed in value or reordered among their siblings;
+lists are compared as values.
 """
 
 from __future__ import annotations
@@ -68,6 +71,33 @@ def run_all(root: Path, argvs: list) -> list:
     return json.loads(proc.stdout)
 
 
+def json_diff(old, new, path: str = "$") -> dict:
+    """Key paths added, removed, changed in value or reordered, old to new."""
+    out = {"added": [], "removed": [], "changed": [], "reordered": []}
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        if old != new:
+            out["changed"].append(path)
+        return out
+    out["added"] = [f"{path}.{k}" for k in new if k not in old]
+    out["removed"] = [f"{path}.{k}" for k in old if k not in new]
+    kept = [k for k in old if k in new]
+    if kept != [k for k in new if k in old]:
+        out["reordered"].append(path)
+    for k in kept:
+        for kind, paths in json_diff(old[k], new[k], f"{path}.{k}").items():
+            out[kind] += paths
+    return out
+
+
+def json_object(text: str):
+    """``text`` parsed, if it is one JSON object; else None."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -83,6 +113,11 @@ def main(argv=None) -> int:
         changed += not same
         print(f"{'identical' if same else 'changed':9}  rc {rc_p}/{rc_c}  "
               f"turnwalk {shlex.join(argv)}")
+        old, new = (None, None) if same else (json_object(out_p), json_object(out_c))
+        if old is not None and new is not None:
+            for kind, paths in json_diff(old, new).items():
+                if paths:
+                    print(f"{'':11}{kind}: {', '.join(paths)}")
     print(f"{len(argvs) - changed} identical, {changed} changed, of {len(argvs)}")
     return 1 if changed else 0
 
