@@ -194,6 +194,8 @@ def lyapunov_drift(config: LyapunovConfig, position) -> float:
     if len(position) != 2:
         raise ValueError("lyapunov_drift is defined for 2-d positions")
     x, y = float(position[0]), float(position[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"position must be finite, got ({x}, {y})")
     p, a, tail = config.p, config.a, config.truncation_tail
     q = 1.0 - p
     r2 = x * x + y * y
@@ -266,6 +268,8 @@ def count_arith_progression(s, s0, M: int) -> int:
         raise ValueError(f"M must be an integer >= 2, got {M}")
     if not 0 < s <= Fraction(1, 2):
         raise ValueError(f"s must be in (0, 1/2], got {s}")
+    if isinstance(s0, float) and not math.isfinite(s0):
+        raise ValueError(f"s0 must be finite, got {s0}")
     if isinstance(s, float) and isinstance(s0, (int, float)):
         if M * s < 1.0 - 1e-12:
             raise ValueError(f"need M*s >= 1, got {M * s}")
@@ -289,16 +293,16 @@ def cosine_sum_bound(q_dist, M: int, a: float, s: float) -> tuple:
     q = np.asarray(q_dist, dtype=float)
     if q.ndim != 1 or q.size == 0:
         raise ValueError("q_dist must be a nonempty 1-d sequence")
-    if np.any(q < 0):
-        raise ValueError("q_dist entries must be nonnegative")
+    if not np.all(np.isfinite(q) & (q >= 0)):
+        raise ValueError("q_dist entries must be finite and nonnegative")
     if abs(float(q.sum()) - 1.0) > 1e-12:
         raise ValueError(f"q_dist must sum to 1 within 1e-12, got {q.sum()!r}")
     if not isinstance(M, int) or M < 1:
         raise ValueError(f"M must be a positive integer, got {M}")
     if M > q.size:
         raise ValueError(f"need q_j defined (listed) for j = 1..{M}; got {q.size} entries")
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"a must be positive and finite, got {a}")
     if not -1e-12 <= s <= math.pi / 2 + 1e-12:
         raise ValueError(f"s must lie in [0, pi/2], got {s}")
     if float(q[:M].min()) < a / M - 1e-12:

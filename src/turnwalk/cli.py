@@ -87,7 +87,7 @@ def _cmd_simulate(args) -> int:
     cfg = {"subcommand": "simulate", "d": args.d, "schedule": sched.to_json(),
            "n": args.n, "samples": args.samples, "seed": args.seed,
            "sampler": args.sampler, "dense": args.dense, "format": "csv"}
-    rng = verify.stream_rng(args.seed, "simulate", 0)
+    rng = verify.stream_rng(args.seed, "simulate")
     paths = (walk._event_paths(args.d, sched, args.n, args.samples, rng)  # in groups
              if args.sampler == "events" else
              (walk.simulate(args.d, sched, args.n, rng) for _ in range(args.samples)))
@@ -125,7 +125,7 @@ def _cmd_zigzag(args) -> int:
     if not (math.isfinite(args.horizon) and args.horizon > 0):
         raise ValueError(f"--horizon must be a positive finite horizon T, got {args.horizon}")
     b = args.b if args.b is not None else zigzag.b_from_a(args.a, args.d)
-    rng = verify.stream_rng(args.seed, "zigzag", 0)
+    rng = verify.stream_rng(args.seed, "zigzag")
     ppp = zigzag.sample_ppp(b, args.epsilon, args.horizon, rng)
     path = zigzag.ZigzagPath(zigzag.label_intervals(ppp, args.d, rng))
     cfg = {"subcommand": "zigzag", "d": args.d, "b": b, "epsilon": ppp.epsilon,
@@ -214,8 +214,7 @@ _EXPERIMENTS = {
     "tail": (("d", "p", "n", "a"), (), 100_000, "tail_report"),
     "covariance": (("schedule", "i", "j"), (), 1_000_000, "covariance_report"),
     "scaling": (("d", "p", "n"), (), 10_000, "scaling_limit_test"),
-    "critical": (("d", "a", "n", "delta"), ("zigzag_samples",), 100_000,
-                 "critical_limit_test"),
+    "critical": (("d", "a", "n", "delta"), (), 100_000, "critical_limit_test"),
     "recurrence": (("d", "schedule", "horizons"), (), 10_000, "recurrence_report"),
     "volkov": (("p", "i", "j"), ("horizon",), 100_000, "volkov_report"),
     "moment4": (("p", "n"), (), 100_000, "moment4_report"),
@@ -223,8 +222,8 @@ _EXPERIMENTS = {
 
 # the type of every flag the table names, and the one help text among them
 _VERIFY_TYPES = {"d": int, "p": float, "n": int, "a": float, "i": int, "j": int,
-                 "delta": float, "schedule": _schedule_arg, "zigzag_samples": int,
-                 "horizon": int, "horizons": _int_list}
+                 "delta": float, "schedule": _schedule_arg, "horizon": int,
+                 "horizons": _int_list}
 _VERIFY_HELP = {"horizons": "comma-separated, e.g. '1000,10000,100000'"}
 
 
@@ -232,8 +231,7 @@ def _cmd_verify(args) -> int:
     required, optional, _samples, op = _EXPERIMENTS[args.experiment]
     flags = {flag: getattr(args, flag) for flag in required + optional}
     # looked up at call time, so a rebound module attribute is the one that runs
-    report = getattr(verify, op)(**flags, samples=args.samples, seed=args.seed,
-                                 shards=args.shards)
+    report = getattr(verify, op)(**flags, samples=args.samples, seed=args.seed)
     if isinstance(report, verify.TestReport):
         report = report.to_json()
     _emit_json(report, args.out)
@@ -317,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              required=flag in required, help=_VERIFY_HELP.get(flag))
         exp.add_argument("--samples", type=int, default=samples)
         exp.add_argument("--seed", type=int, default=0)
-        exp.add_argument("--shards", type=int, default=1)
         exp.add_argument("--out", default=None, help="output path (default stdout)")
     ver.set_defaults(func=_cmd_verify)
     return parser

@@ -2,14 +2,14 @@
 
 Seeding contract
 ----------------
-Every estimator derives its generators as
+Every operation draws its whole sample from one generator,
 
-    Philox(SeedSequence(master_seed, spawn_key=(stream_id, shard_index)))
+    Philox(SeedSequence(master_seed, spawn_key=(stream_id, 0)))
 
-with one fixed stream id per operation (the ``STREAMS`` table) and shard
-indices 0..shards-1.  Shards are therefore reproducible and non-overlapping,
-may run in any order, and aggregate through sums, so identical
-(seed, shards, config) always produce bit-identical results.
+with one fixed stream id per operation (the ``STREAMS`` table), so the
+operations' streams never overlap and identical (seed, config) always
+produce bit-identical results.  KS and chi-square sub-checks run at level
+``_ALPHA``.
 
 Every experiment scores named (observed, allowed) sub-checks by observed /
 allowed (``_ratio``: a zero allowance scores 0 on an exact match, else
@@ -62,6 +62,8 @@ _VOLKOV_CELLS = 1 << 21
 
 _MIN_EXPECTED = 5.0  # poisson_gof pools cells expecting fewer counts
 
+_ALPHA = 0.01  # level of the KS and chi-square sub-checks
+
 STREAMS = {
     "tail": 1,
     "covariance": 2,
@@ -76,27 +78,10 @@ STREAMS = {
 }
 
 
-def stream_rng(seed: int, stream: str, shard: int) -> np.random.Generator:
+def stream_rng(seed: int, stream: str) -> np.random.Generator:
     """The one rng derivation used everywhere; see the module docstring."""
-    ss = np.random.SeedSequence(seed, spawn_key=(STREAMS[stream], shard))
+    ss = np.random.SeedSequence(seed, spawn_key=(STREAMS[stream], 0))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def _shard_sizes(samples: int, shards: int) -> list:
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    base, extra = divmod(samples, shards)
-    return [base + (1 if s < extra else 0) for s in range(shards)]
-
-
-def _sharded(samples: int, shards: int, seed: int, stream: str):
-    """Yield (size, rng) for each nonempty shard of an operation's stream:
-    shards 0..min(samples, shards) - 1, the only ones listed."""
-    for s, size in enumerate(_shard_sizes(samples, min(shards, max(samples, 1)))):
-        if size:
-            yield size, stream_rng(seed, stream, s)
 
 
 def _check_samples(samples: int, minimum: int = 1, name: str = "samples") -> None:
@@ -133,7 +118,6 @@ class EstimatorResult:
     n_samples: int
     ci95: tuple
     seed: int
-    shards: int
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -191,19 +175,17 @@ def _agreement(result: EstimatorResult, expected: float) -> tuple:
     return abs(result.estimate - expected), 4.0 * result.std_error
 
 
-def _mean_estimator(sum_x: float, sum_x2: float, n: int, seed: int,
-                    shards: int) -> EstimatorResult:
+def _mean_estimator(sum_x: float, sum_x2: float, n: int, seed: int) -> EstimatorResult:
     mean = sum_x / n
     var = max(0.0, (sum_x2 - n * mean * mean) / (n - 1)) if n > 1 else 0.0
     se = math.sqrt(var / n)
-    return EstimatorResult(mean, se, n, (mean - 1.96 * se, mean + 1.96 * se),
-                           seed, shards)
+    return EstimatorResult(mean, se, n, (mean - 1.96 * se, mean + 1.96 * se), seed)
 
 
-def _proportion_estimator(hits: int, n: int, seed: int, shards: int) -> EstimatorResult:
+def _proportion_estimator(hits: int, n: int, seed: int) -> EstimatorResult:
     est = hits / n
     se = math.sqrt(est * (1.0 - est) / n)
-    return EstimatorResult(est, se, n, (est - 1.96 * se, est + 1.96 * se), seed, shards)
+    return EstimatorResult(est, se, n, (est - 1.96 * se, est + 1.96 * se), seed)
 
 
 def envelope(op: str, config: dict, result: EstimatorResult,
@@ -293,32 +275,29 @@ def poisson_gof(counts: np.ndarray, lam: float, alpha: float = 0.01) -> tuple:
 
 
 def estimate_tail(d: int, p: float, n: int, a: float, samples: int,
-                  seed: int = 0, shards: int = 1) -> EstimatorResult:
+                  seed: int = 0) -> EstimatorResult:
     """Empirical P(|S_n| > a sqrt(n)), Euclidean norm, binomial s.e."""
     if not (math.isfinite(a) and a >= (1.0 if d == 1 else math.sqrt(d))):
         raise ValueError(f"a = {a} is not finite or is below the bound's validity "
                          f"threshold for d = {d}")
     _check_samples(samples)
-    cutoff = a * a * n
-    hits = 0
-    for size, rng in _sharded(samples, shards, seed, "tail"):
-        pos = walk.sample_positions(d, Constant(p), n, size, rng).at(n)
-        r2 = np.sum(pos.astype(float) ** 2, axis=1)
-        hits += int(np.count_nonzero(r2 > cutoff))
-    return _proportion_estimator(hits, samples, seed, shards)
+    pos = walk.sample_positions(d, Constant(p), n, samples,
+                                stream_rng(seed, "tail")).at(n)
+    r2 = np.sum(pos.astype(float) ** 2, axis=1)
+    hits = int(np.count_nonzero(r2 > a * a * n))
+    return _proportion_estimator(hits, samples, seed)
 
 
 def tail_report(d: int, p: float, n: int, a: float, samples: int,
-                seed: int = 0, shards: int = 1) -> dict:
+                seed: int = 0) -> dict:
     """estimate_tail judged against its closed-form bound, as the JSON envelope."""
-    result = estimate_tail(d, p, n, a, samples, seed=seed, shards=shards)
-    config = {"d": d, "p": p, "n": n, "a": a, "samples": samples,
-              "seed": seed, "shards": shards}
+    result = estimate_tail(d, p, n, a, samples, seed=seed)
+    config = {"d": d, "p": p, "n": n, "a": a, "samples": samples, "seed": seed}
     return envelope("tail", config, result, bound=ld_bound(p, a, d))
 
 
 def estimate_covariance(schedule: Schedule, i: int, j: int, samples: int,
-                        seed: int = 0, shards: int = 1) -> EstimatorResult:
+                        seed: int = 0) -> EstimatorResult:
     """Empirical E[Y_i Y_j] for the 1-d walk's step signs.
 
     Only steps i..j are simulated: the headings form a Markov chain whose
@@ -329,35 +308,34 @@ def estimate_covariance(schedule: Schedule, i: int, j: int, samples: int,
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
     _check_samples(samples)
-    total = 0
-    for size, rng in _sharded(samples, shards, seed, "covariance"):
-        for k, code in walk._headings(1, schedule, j, size, rng, first=i):
-            if k == i:
-                code_i = code.copy()
-        # Y_i Y_j = +1 exactly when the 1-d headings at steps i and j agree
-        total += size - 2 * int(np.count_nonzero(code_i != code))
+    rng = stream_rng(seed, "covariance")
+    for k, code in walk._headings(1, schedule, j, samples, rng, first=i):
+        if k == i:
+            code_i = code.copy()
+    # Y_i Y_j = +1 exactly when the 1-d headings at steps i and j agree
+    total = samples - 2 * int(np.count_nonzero(code_i != code))
     # products are +-1, so the sum of their squares is the sample count
-    return _mean_estimator(total, samples, samples, seed, shards)
+    return _mean_estimator(total, samples, samples, seed)
 
 
 def covariance_report(schedule: Schedule, i: int, j: int, samples: int,
-                      seed: int = 0, shards: int = 1) -> dict:
+                      seed: int = 0) -> dict:
     """estimate_covariance judged against prod (1 - p_k), as the JSON envelope."""
-    result = estimate_covariance(schedule, i, j, samples, seed=seed, shards=shards)
+    result = estimate_covariance(schedule, i, j, samples, seed=seed)
     config = {"schedule": schedule.to_json(), "i": i, "j": j, "samples": samples,
-              "seed": seed, "shards": shards}
+              "seed": seed}
     return envelope("covariance", config, result, expected=correlation_e(schedule, i, j))
 
 
-def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
-                       shards: int = 1, alpha: float = 0.01) -> TestReport:
+def scaling_limit_test(d: int, p: float, n: int, samples: int,
+                       seed: int = 0) -> TestReport:
     """Endpoint normality check under diffusive rescaling.
 
     Each coordinate of S_n is scaled by sqrt(d p / (2-p)) / sqrt(n), which
     normalizes the per-coordinate variance to 1 (the 1/d of the steps spent
     on an axis joins the (2-p)/p run-length factor).  Sub-checks, each
     contributing observed/allowed to the normalized statistic: per-coordinate
-    KS distance to the standard normal against the alpha critical value plus
+    KS distance to the standard normal against the ``_ALPHA`` critical value plus
     a one-lattice-spacing allowance (``ks[c]``); per-coordinate variance
     within 4% of 1 (``variance[c]``); pairwise cross-covariances within
     4 s.e. of 0 (``cross[c1,c2]``).
@@ -368,17 +346,15 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
         # at p = 0 each path runs straight along one axis: no diffusive limit
         raise ValueError(f"scaling_limit_test needs 0 < p <= 1, got p = {p}")
     _check_samples(samples, 2)
-    chunks = []
-    for size, rng in _sharded(samples, shards, seed, "scaling"):
-        chunks.append(walk.sample_positions(d, Constant(p), n, size, rng).at(n))
-    pos = np.concatenate(chunks, axis=0).astype(float)
+    pos = walk.sample_positions(d, Constant(p), n, samples,
+                                stream_rng(seed, "scaling")).at(n).astype(float)
     factor = math.sqrt(d * p / (2.0 - p)) / math.sqrt(n)
     z = pos * factor
 
     # coordinate parity is fixed only in one dimension, where S_n has the
     # parity of n and the lattice spacing doubles
     spacing = factor * (2.0 if d == 1 else 1.0)
-    ks_thresh = ks_critical(alpha) / math.sqrt(samples) + spacing
+    ks_thresh = ks_critical(_ALPHA) / math.sqrt(samples) + spacing
     ks = [ks_one_sample_normal(z[:, c]) for c in range(d)]
     variances = z.var(axis=0, ddof=1)
     checks = {f"ks[{c}]": (dc, ks_thresh) for c, dc in enumerate(ks)}
@@ -392,7 +368,7 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
             cross.append({"axes": [c1, c2], "cov": cov, "std_error": se})
             checks[f"cross[{c1},{c2}]"] = (abs(cov), 4.0 * se)
     config = {"op": "scaling", "d": d, "p": p, "n": n, "samples": samples,
-              "seed": seed, "shards": shards, "alpha": alpha}
+              "seed": seed}
     details = {
         "ks_per_coordinate": ks,
         "ks_threshold": ks_thresh,
@@ -406,9 +382,7 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int, seed: int = 0,
 
 
 def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
-                        seed: int = 0, shards: int = 1,
-                        zigzag_samples: int | None = None,
-                        alpha: float = 0.01) -> TestReport:
+                        seed: int = 0) -> TestReport:
     """Critical-regime comparison of the walk with the zigzag process.
 
     Two legs, windowed to (delta n, n] on the walk side and (delta, 1] on
@@ -419,8 +393,8 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
        ``turn_count_mean``) and by chi-square (``chi2``);
     2. the rescaled windowed displacement (S_n - S_{floor(delta n)})/n is
        compared per coordinate (``ks[c]``) and in Euclidean norm
-       (``ks_norm``) to the truncated zigzag endpoint Z_1 by two-sample KS.
-       Matching the truncations also matches the straight-run atoms (both
+       (``ks_norm``) to as many truncated zigzag endpoints Z_1 by
+       two-sample KS.  Matching the truncations also matches the straight-run atoms (both
        sit exactly at 1 - delta).
 
     Both legs read only steps m + 1..n, m = floor(delta n), so the walks
@@ -436,33 +410,25 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     m = int(delta * n)
     if m < 1:
         raise ValueError(f"need delta * n >= 1, got delta={delta}, n={n}")
-    zigzag_samples = samples if zigzag_samples is None else zigzag_samples
     _check_samples(samples, 2)
-    _check_samples(zigzag_samples, 1, "zigzag_samples")
     b = b_from_a(a, d)
     schedule = Critical(a=a, n0=max(1, math.ceil(a)))
 
-    counts_parts, window_parts = [], []
-    for size, rng in _sharded(samples, shards, seed, "critical_walk"):
-        out = walk.sample_positions(d, schedule, n, size, rng, times=(n,),
-                                    count_changes_in=(m, n), method="events", first=m)
-        counts_parts.append(out.change_counts)
-        window_parts.append(out.at(n))
-    counts = np.concatenate(counts_parts)
-    windowed = np.concatenate(window_parts, axis=0) / n
-
-    z_parts = []
-    for size, rng in _sharded(zigzag_samples, shards, seed, "critical_zigzag"):
-        z_parts.append(sample_endpoints(d, b, delta, size, rng))
-    zz = np.concatenate(z_parts, axis=0)
+    out = walk.sample_positions(d, schedule, n, samples, stream_rng(seed, "critical_walk"),
+                                times=(n,), count_changes_in=(m, n), method="events",
+                                first=m)
+    counts = out.change_counts
+    windowed = out.at(n) / n
+    zz = sample_endpoints(d, b, delta, samples, stream_rng(seed, "critical_zigzag"))
 
     lam = b * math.log(1.0 / delta)
     mean = float(counts.mean())
     se = float(counts.std(ddof=1)) / math.sqrt(samples)
-    chi_stat, chi_crit, chi_dof = poisson_gof(counts, lam, alpha=alpha)
+    chi_stat, chi_crit, chi_dof = poisson_gof(counts, lam, alpha=_ALPHA)
 
-    ks_thresh = ks_critical(alpha) * math.sqrt((samples + zigzag_samples)
-                                               / (samples * zigzag_samples))
+    # two samples of size s: sqrt((s + s) / (s s)), which int division rounds
+    # exactly as 2 / s
+    ks_thresh = ks_critical(_ALPHA) * math.sqrt(2 / samples)
     ks_coords = [ks_two_sample(windowed[:, c], zz[:, c]) for c in range(d)]
     ks_norm = ks_two_sample(np.linalg.norm(windowed, axis=1),
                             np.linalg.norm(zz, axis=1))
@@ -471,8 +437,7 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     checks.update({f"ks[{c}]": (dc, ks_thresh) for c, dc in enumerate(ks_coords)})
     checks["ks_norm"] = (ks_norm, ks_thresh)
     config = {"op": "critical", "d": d, "a": a, "n": n, "samples": samples,
-              "zigzag_samples": zigzag_samples, "delta": delta, "seed": seed,
-              "shards": shards, "alpha": alpha}
+              "delta": delta, "seed": seed}
     details = {
         "b": b,
         "turn_count_mean": mean,
@@ -502,7 +467,7 @@ class RecurrencePoint:
 
 
 def recurrence_experiment(d: int, schedule: Schedule, horizons, samples: int,
-                          seed: int = 0, shards: int = 1) -> list:
+                          seed: int = 0) -> list:
     """Origin-visit statistics at nested horizons over a shared path set.
 
     For each horizon h: the mean number of visits to the origin in [1, h],
@@ -517,22 +482,15 @@ def recurrence_experiment(d: int, schedule: Schedule, horizons, samples: int,
         raise ValueError("horizons must be nonnegative")
     _check_samples(samples)
     positive = [h for h in horizons if h >= 1]
-    count_parts = {h: [] for h in positive}
-    late_parts = {h: [] for h in positive}
     if positive:
-        for size, rng in _sharded(samples, shards, seed, "recurrence"):
-            stats = walk.sample_visit_stats(d, schedule, positive[-1], size, rng,
-                                            horizons=positive)
-            for h in positive:
-                count_parts[h].append(stats.counts[h])
-                late_parts[h].append(stats.late[h])
+        stats = walk.sample_visit_stats(d, schedule, positive[-1], samples,
+                                        stream_rng(seed, "recurrence"), horizons=positive)
     out = []
     for h in horizons:
         if h == 0:
             out.append(RecurrencePoint(0, 0.0, 0.0, 0.0, 0.0))
             continue
-        counts = np.concatenate(count_parts[h])
-        late = np.concatenate(late_parts[h])
+        counts, late = stats.counts[h], stats.late[h]
         mean = float(counts.mean())
         se = float(counts.std(ddof=1)) / math.sqrt(samples) if samples > 1 else 0.0
         frac = float(late.mean())
@@ -542,11 +500,11 @@ def recurrence_experiment(d: int, schedule: Schedule, horizons, samples: int,
 
 
 def recurrence_report(d: int, schedule: Schedule, horizons, samples: int,
-                      seed: int = 0, shards: int = 1) -> dict:
+                      seed: int = 0) -> dict:
     """recurrence_experiment as a JSON report: informational, no sub-checks yet."""
-    points = recurrence_experiment(d, schedule, horizons, samples, seed=seed, shards=shards)
+    points = recurrence_experiment(d, schedule, horizons, samples, seed=seed)
     config = {"d": d, "schedule": schedule.to_json(), "horizons": horizons,
-              "samples": samples, "seed": seed, "shards": shards}
+              "samples": samples, "seed": seed}
     return {"op": "recurrence", "config": config,
             "points": [pt.to_json() for pt in points], **_judge({})}
 
@@ -622,8 +580,7 @@ def _volkov_chunk(p: float, levels: tuple, c: int, horizon: int, reach: int,
 
 
 def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
-                         horizon: int | None = None, seed: int = 0,
-                         shards: int = 1) -> VolkovResult:
+                         horizon: int | None = None, seed: int = 0) -> VolkovResult:
     """Pass-once frequencies for the biased +-1 walk.
 
     The walk passes level l "once" when, after first hitting l, it never
@@ -642,30 +599,28 @@ def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
         raise ValueError(f"need 1 <= i < j, got i={i}, j={j}")
     _check_samples(samples)
     horizon, reach, cert = _volkov_certify(p, j, horizon)
+    rng = stream_rng(seed, "volkov")
     hits_i = 0
     hits_ij = 0
     chunk = 2048
-    for size, rng in _sharded(samples, shards, seed, "volkov"):
-        for done in range(0, size, chunk):
-            passed = _volkov_chunk(p, (i, j), min(chunk, size - done), horizon,
-                                   reach, rng)
-            hits_i += int(passed[0].sum())
-            hits_ij += int((passed[0] & passed[1]).sum())
-    single = _proportion_estimator(hits_i, samples, seed, shards)
-    joint = _proportion_estimator(hits_ij, samples, seed, shards)
+    for done in range(0, samples, chunk):
+        passed = _volkov_chunk(p, (i, j), min(chunk, samples - done), horizon, reach, rng)
+        hits_i += int(passed[0].sum())
+        hits_ij += int((passed[0] & passed[1]).sum())
+    single = _proportion_estimator(hits_i, samples, seed)
+    joint = _proportion_estimator(hits_ij, samples, seed)
     return VolkovResult(single=single, joint=joint, horizon=horizon,
                         certified_error=cert)
 
 
 def volkov_report(p: float, i: int, j: int, samples: int, horizon: int | None = None,
-                  seed: int = 0, shards: int = 1) -> dict:
+                  seed: int = 0) -> dict:
     """volkov_bc_experiment judged against the pass-once probabilities: an
     envelope per half, and the sub-checks ``single`` and ``joint`` on top."""
-    result = volkov_bc_experiment(p, i, j, samples, horizon=horizon, seed=seed,
-                                  shards=shards)
+    result = volkov_bc_experiment(p, i, j, samples, horizon=horizon, seed=seed)
     exp_single, _ = gambler_pass_once(p, math.inf)
     _, exp_joint = gambler_pass_once(p, j - i)
-    config = {"p": p, "i": i, "j": j, "samples": samples, "seed": seed, "shards": shards,
+    config = {"p": p, "i": i, "j": j, "samples": samples, "seed": seed,
               "horizon": result.horizon, "certified_error": result.certified_error}
     checks = {"single": _agreement(result.single, exp_single),
               "joint": _agreement(result.joint, exp_joint)}
@@ -675,25 +630,18 @@ def volkov_report(p: float, i: int, j: int, samples: int, horizon: int | None = 
             **_judge(checks)}
 
 
-def moment4_experiment(p: float, n: int, samples: int, seed: int = 0,
-                       shards: int = 1) -> EstimatorResult:
+def moment4_experiment(p: float, n: int, samples: int, seed: int = 0) -> EstimatorResult:
     """Empirical E[L_n^4] of the 1-d walk, s.e. from the sample variance."""
     if n < 1:
         raise ValueError("n must be positive")
     _check_samples(samples)
-    sum_x = 0.0
-    sum_x2 = 0.0
-    for size, rng in _sharded(samples, shards, seed, "moment4"):
-        pos = walk.sample_positions(1, Constant(p), n, size, rng).at(n)
-        x = pos[:, 0].astype(float) ** 4
-        sum_x += float(x.sum())
-        sum_x2 += float((x * x).sum())
-    return _mean_estimator(sum_x, sum_x2, samples, seed, shards)
+    pos = walk.sample_positions(1, Constant(p), n, samples, stream_rng(seed, "moment4")).at(n)
+    x = pos[:, 0].astype(float) ** 4
+    return _mean_estimator(float(x.sum()), float((x * x).sum()), samples, seed)
 
 
-def moment4_report(p: float, n: int, samples: int, seed: int = 0,
-                   shards: int = 1) -> dict:
+def moment4_report(p: float, n: int, samples: int, seed: int = 0) -> dict:
     """moment4_experiment judged against the exact E[L_n^4], as the JSON envelope."""
-    result = moment4_experiment(p, n, samples, seed=seed, shards=shards)
-    config = {"p": p, "n": n, "samples": samples, "seed": seed, "shards": shards}
+    result = moment4_experiment(p, n, samples, seed=seed)
+    config = {"p": p, "n": n, "samples": samples, "seed": seed}
     return envelope("moment4", config, result, expected=fourth_moment_L(p, n))

@@ -551,10 +551,14 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     _check_dimension(d)
     if n < 1:
         raise ValueError("n must be positive")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     target = (0,) * d if target is None else tuple(int(x) for x in target)
     if len(target) != d:
         raise ValueError(f"target has {len(target)} coordinates, expected {d}")
     horizons = (n,) if horizons is None else tuple(sorted(set(int(h) for h in horizons)))
+    if not horizons:
+        raise ValueError("horizons must be nonempty")
     if horizons[0] < 1 or horizons[-1] > n:
         raise ValueError(f"horizons must lie in [1, {n}]")
 

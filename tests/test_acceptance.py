@@ -35,7 +35,10 @@ def test_c01_oracle_agreement():
         for p in (0.3, 0.5, 0.8):
             marg = oracle.exact_distribution(d, Constant(p), 6).marginal_positions()
             for method in ("step", "events"):
-                rng = verify.stream_rng(0, "simulate", idx)
+                # one independent stream per configuration
+                ss = np.random.SeedSequence(
+                    0, spawn_key=(verify.STREAMS["simulate"], idx))
+                rng = np.random.Generator(np.random.Philox(ss))
                 idx += 1
                 pos = walk.sample_positions(d, Constant(p), 6, 1_000_000, rng,
                                             method=method).at(6)
@@ -81,7 +84,7 @@ def test_c03_correlation_decay():
 def test_c04_tail_bounds():
     t0 = time.perf_counter()
     for d, p, n, a in _TAIL_CONFIGS:
-        rep = verify.tail_report(d, p, n, a, 100_000, seed=0, shards=1)
+        rep = verify.tail_report(d, p, n, a, 100_000, seed=0)
         assert rep["bound"] == analytics.ld_bound(p, a, d)
         assert rep["verdict"] == "holds", (d, a, rep)
         _ENVELOPES[(d, p, n, a)] = json.dumps(rep)
@@ -193,7 +196,6 @@ def test_c11_determinism():
     d, p, n, a = _TAIL_CONFIGS[2]
     first = _ENVELOPES.get((d, p, n, a))
     if first is None:  # standalone run without criterion 4
-        first = json.dumps(verify.tail_report(d, p, n, a, 100_000, seed=0,
-                                              shards=1))
-    again = json.dumps(verify.tail_report(d, p, n, a, 100_000, seed=0, shards=1))
+        first = json.dumps(verify.tail_report(d, p, n, a, 100_000, seed=0))
+    again = json.dumps(verify.tail_report(d, p, n, a, 100_000, seed=0))
     assert again == first

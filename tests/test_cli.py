@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -96,6 +97,22 @@ def test_moments_cosine_bound(capsys):
                               "--a", "0.5", "--s", str(math.pi / 2)])
     assert blob["value"]["h"] == pytest.approx(0.0, abs=1e-15)
     assert blob["value"]["bound"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("args", [
+    ["--op", "lyapunov", "--p", "0.5", "--a", "43", "--position", "inf,3"],
+    ["--op", "lyapunov", "--p", "0.5", "--a", "43", "--position", "nan,3"],
+    ["--op", "cosine-bound", "--q", "0.5,nan", "--a", "0.5", "--s", "1"],
+    ["--op", "cosine-bound", "--q", "1.0", "--a", "nan", "--s", "1"],
+    ["--op", "arith-count", "--s", "0.25", "--s0", "nan", "--M", "4"],
+    ["--op", "arith-count", "--s", "0.25", "--s0", "inf", "--M", "4"],
+])
+def test_moments_non_finite_input_exit_2(capsys, args):
+    # these used to crash (exit 3) or print a value (null, 0) and exit 0
+    rc, out, err = _run(capsys, ["moments", *args])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
 
 
 def test_moments_missing_flags_exit_2(capsys):
@@ -420,7 +437,7 @@ def test_verify_rejected_report_exit_1(capsys, monkeypatch):
 
 
 def _estimate(value):
-    return EstimatorResult(value, 0.01, 100, (value - 0.02, value + 0.02), 0, 1)
+    return EstimatorResult(value, 0.01, 100, (value - 0.02, value + 0.02), 0)
 
 
 def test_verify_covariance_disagreement_exit_1(capsys, monkeypatch):
@@ -585,6 +602,25 @@ def test_verify_missing_required_flag_exit_2(capsys, exp, k):
     assert rc == 2
     assert out == ""
     assert "the following arguments are required: " + args[k] in err
+
+
+@pytest.mark.parametrize("name", sorted(cli._EXPERIMENTS))
+def test_verify_table_matches_operation_signature(name):
+    # an operation takes exactly its row's flags plus samples and seed
+    required, optional, _samples, op = cli._EXPERIMENTS[name]
+    params = inspect.signature(getattr(verify, op)).parameters
+    assert set(params) == {*required, *optional, "samples", "seed"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "moment4", *_VERIFY_ARGS["moment4"], "--shards", "2"],
+    ["verify", "critical", *_VERIFY_ARGS["critical"], "--zigzag-samples", "5"],
+])
+def test_verify_removed_flags_exit_2(capsys, argv):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,72 +14,41 @@ from turnwalk.verify import (EstimatorResult, TestReport, envelope, ks_critical,
                              stream_rng)
 
 
-# --- seeding and sharding ---
+# --- seeding ---
 
 def test_stream_rng_reproducible_and_separated():
-    a = stream_rng(7, "tail", 0).integers(0, 2 ** 63, size=8)
-    b = stream_rng(7, "tail", 0).integers(0, 2 ** 63, size=8)
+    a = stream_rng(7, "tail").integers(0, 2 ** 63, size=8)
+    b = stream_rng(7, "tail").integers(0, 2 ** 63, size=8)
     assert np.array_equal(a, b)
-    c = stream_rng(7, "covariance", 0).integers(0, 2 ** 63, size=8)
-    d = stream_rng(7, "tail", 1).integers(0, 2 ** 63, size=8)
-    e = stream_rng(8, "tail", 0).integers(0, 2 ** 63, size=8)
+    c = stream_rng(7, "covariance").integers(0, 2 ** 63, size=8)
+    e = stream_rng(8, "tail").integers(0, 2 ** 63, size=8)
     assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
     assert not np.array_equal(a, e)
+
+
+@pytest.mark.parametrize("stream", sorted(verify.STREAMS))
+def test_stream_rng_is_the_documented_derivation(stream):
+    # spawn key (stream id, 0): the stream every seeded result was drawn from
+    ss = np.random.SeedSequence(7, spawn_key=(verify.STREAMS[stream], 0))
+    want = np.random.Generator(np.random.Philox(ss)).integers(0, 2 ** 63, size=8)
+    assert np.array_equal(stream_rng(7, stream).integers(0, 2 ** 63, size=8), want)
 
 
 def test_stream_rng_unknown_stream():
     with pytest.raises(KeyError):
-        stream_rng(0, "nonsense", 0)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000),
-       st.integers(min_value=1, max_value=64))
-def test_shard_sizes_partition(samples, shards):
-    sizes = verify._shard_sizes(samples, shards)
-    assert len(sizes) == shards
-    assert sum(sizes) == samples
-    assert max(sizes) - min(sizes) <= 1
-    assert min(sizes) >= 0
-
-
-def test_shard_sizes_validation():
-    with pytest.raises(ValueError):
-        verify._shard_sizes(-1, 2)
-    with pytest.raises(ValueError):
-        verify._shard_sizes(10, 0)
-
-
-def test_sharded_skips_empty_shards_and_keeps_shard_streams():
-    got = list(verify._sharded(2, 4, 7, "tail"))
-    assert [size for size, _ in got] == [1, 1]  # shards 2 and 3 are empty
-    for s, (_, rng) in enumerate(got):
-        assert rng.random() == stream_rng(7, "tail", s).random()
-
-
-def test_sharded_lists_only_nonempty_shards():
-    tracemalloc.start()
-    try:
-        wide = verify.moment4_experiment(0.5, 10, 10, shards=10 ** 6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    narrow = verify.moment4_experiment(0.5, 10, 10, shards=10)
-    assert (wide.estimate, wide.std_error) == (narrow.estimate, narrow.std_error)
+        stream_rng(0, "nonsense")
 
 
 # --- result containers ---
 
 def test_estimator_result_validation_and_json():
-    r = EstimatorResult(0.5, 0.01, 1000, (0.48, 0.52), 3, 2)
+    r = EstimatorResult(0.5, 0.01, 1000, (0.48, 0.52), 3)
     blob = r.to_json()
     assert blob["estimate"] == 0.5
     assert blob["ci95"] == [0.48, 0.52]
     json.dumps(blob)
     with pytest.raises(ValueError):
-        EstimatorResult(0.5, -0.01, 1000, (0.4, 0.6), 0, 1)
+        EstimatorResult(0.5, -0.01, 1000, (0.4, 0.6), 0)
 
 
 def test_report_rejected_flag():
@@ -96,10 +65,10 @@ def test_report_rejected_flag():
 
 
 def test_envelope_verdicts_and_key_order():
-    r = EstimatorResult(0.5, 0.01, 1000, (0.48, 0.52), 3, 2)
+    r = EstimatorResult(0.5, 0.01, 1000, (0.48, 0.52), 3)
     env = envelope("demo", {"p": 0.5}, r, bound=0.46)
     assert list(env) == ["op", "config", "estimate", "std_error", "n_samples",
-                         "ci95", "seed", "shards", "bound", "verdict",
+                         "ci95", "seed", "bound", "verdict",
                          "statistic", "argmax", "passed"]
     assert env["verdict"] == "holds"  # 0.5 - 0.04 = 0.46 <= 0.46
     assert env["argmax"] == "bound" and env["passed"] is True
@@ -111,10 +80,10 @@ def test_envelope_verdicts_and_key_order():
 
 
 def test_envelope_agreement_flag_and_key_order():
-    r = EstimatorResult(0.5, 0.125, 1000, (0.25, 0.75), 3, 2)  # 4 s.e. = 0.5
+    r = EstimatorResult(0.5, 0.125, 1000, (0.25, 0.75), 3)  # 4 s.e. = 0.5
     env = envelope("demo", {"p": 0.5}, r, expected=1.0)
     assert list(env) == ["op", "config", "estimate", "std_error", "n_samples",
-                         "ci95", "seed", "shards", "expected", "within_4se",
+                         "ci95", "seed", "expected", "within_4se",
                          "statistic", "argmax", "passed"]
     assert env["expected"] == 1.0 and env["within_4se"] is True
     assert envelope("demo", {}, r, expected=0.0)["within_4se"] is True
@@ -123,7 +92,7 @@ def test_envelope_agreement_flag_and_key_order():
     both = envelope("demo", {}, r, bound=0.0, expected=0.5)
     assert list(both)[-7:] == ["bound", "verdict", "expected", "within_4se",
                                "statistic", "argmax", "passed"]
-    nan = EstimatorResult(math.nan, 0.125, 1000, (0.0, 1.0), 3, 2)
+    nan = EstimatorResult(math.nan, 0.125, 1000, (0.0, 1.0), 3)
     assert envelope("demo", {}, nan, expected=0.5)["within_4se"] is False
     json.dumps(env)
 
@@ -156,7 +125,7 @@ def test_bound_subcheck_is_exactly_the_one_sided_rule(e, s, b, steps, adjacent):
     assume(0.0 < b < math.inf)
     holds = e - 4.0 * s <= b
     assert (verify._ratio(max(0.0, e - 4.0 * s), b) <= 1.0) == holds
-    env = envelope("demo", {}, EstimatorResult(e, s, 1, (e, e), 0, 1), bound=b)
+    env = envelope("demo", {}, EstimatorResult(e, s, 1, (e, e), 0), bound=b)
     assert env["passed"] == holds and (env["verdict"] == "holds") == holds
 
 
@@ -165,7 +134,7 @@ def test_bound_subcheck_is_exactly_the_one_sided_rule(e, s, b, steps, adjacent):
 def test_expected_subcheck_is_exactly_the_two_sided_rule(e, s, x):
     # bounded so that |e - x| and 4 s stay finite: inf / inf would be NaN
     within = abs(e - x) <= 4.0 * s
-    env = envelope("demo", {}, EstimatorResult(e, s, 1, (e, e), 0, 1), expected=x)
+    env = envelope("demo", {}, EstimatorResult(e, s, 1, (e, e), 0), expected=x)
     assert env["passed"] == env["within_4se"] == within
 
 
@@ -180,7 +149,7 @@ def test_judge_names_the_largest_subcheck_and_nan_wins():
 
 
 def test_envelope_cleans_numpy_scalars():
-    r = EstimatorResult(float(np.float64(0.5)), 0.01, 1000, (0.4, 0.6), 0, 1)
+    r = EstimatorResult(float(np.float64(0.5)), 0.01, 1000, (0.4, 0.6), 0)
     env = envelope("demo", {"n": np.int64(4), "xs": np.arange(3)}, r)
     json.dumps(env)
     assert env["config"]["n"] == 4
@@ -313,8 +282,8 @@ def test_covariance_validation():
 
 def test_covariance_pinned_values():
     # any change to the per-step engine's draws or their order moves these
-    r = verify.estimate_covariance(Constant(0.5), 2, 6, 50_000, seed=5, shards=3)
-    assert (repr(r.estimate), repr(r.std_error)) == ("0.07084", "0.004460945178842458")
+    r = verify.estimate_covariance(Constant(0.5), 2, 6, 50_000, seed=5)
+    assert (repr(r.estimate), repr(r.std_error)) == ("0.04696", "0.004467246836014983")
     r = verify.estimate_covariance(Critical(2.0, n0=3), 1, 9, 50_000, seed=13)
     assert (repr(r.estimate), repr(r.std_error)) == ("0.00436", "0.0044721381696450485")
 
@@ -356,8 +325,8 @@ def test_moment4_matches_formula():
 
 
 def test_estimators_are_deterministic():
-    a = verify.tail_report(1, 0.9, 200, 3.0, 5_000, seed=11, shards=2)
-    b = verify.tail_report(1, 0.9, 200, 3.0, 5_000, seed=11, shards=2)
+    a = verify.tail_report(1, 0.9, 200, 3.0, 5_000, seed=11)
+    b = verify.tail_report(1, 0.9, 200, 3.0, 5_000, seed=11)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     x = verify.estimate_covariance(Constant(0.5), 2, 5, 20_000, seed=11)
     y = verify.estimate_covariance(Constant(0.5), 2, 5, 20_000, seed=11)
@@ -365,15 +334,11 @@ def test_estimators_are_deterministic():
 
 
 def test_shard_counts_consistent_law():
-    # different shard counts repartition the streams; every variant stays
-    # within 4 s.e. of the exact value and echoes its shard count
+    # the one stream stays within 4 s.e. of the exact value
     e = analytics.correlation_e(Constant(0.5), 2, 4)
-    for shards in (1, 4, 16):
-        r = verify.estimate_covariance(Constant(0.5), 2, 4, 120_000,
-                                       seed=5, shards=shards)
-        assert r.shards == shards
-        assert r.n_samples == 120_000
-        assert abs(r.estimate - e) < 4 * r.std_error
+    r = verify.estimate_covariance(Constant(0.5), 2, 4, 120_000, seed=5)
+    assert r.n_samples == 120_000
+    assert abs(r.estimate - e) < 4 * r.std_error
 
 
 def test_scaling_report_structure():
@@ -417,11 +382,6 @@ def test_scaling_ks_shrinks_with_horizon():
     assert means[0] > means[1] > means[2]
 
 
-def test_critical_needs_zigzag_samples():
-    with pytest.raises(ValueError, match="zigzag_samples"):
-        verify.critical_limit_test(2, 1.0, 10_000, 100, 0.1, zigzag_samples=0)
-
-
 def test_nan_subcheck_rejects_scaling(monkeypatch):
     monkeypatch.setattr(verify, "ks_one_sample_normal", lambda values: math.nan)
     rep = verify.scaling_limit_test(2, 0.5, 1_000, 2_000, seed=7)
@@ -461,8 +421,8 @@ def test_critical_walks_start_at_the_window(monkeypatch):
         return sample_positions(*args, **kwargs)
 
     monkeypatch.setattr(verify.walk, "sample_positions", spy)
-    verify.critical_limit_test(2, 1.0, 10_000, 2_000, 0.1, seed=9, shards=2)
-    assert calls == [(10_000, 1_000, (10_000,), (1_000, 10_000))] * 2
+    verify.critical_limit_test(2, 1.0, 10_000, 2_000, 0.1, seed=9)
+    assert calls == [(10_000, 1_000, (10_000,), (1_000, 10_000))]
 
 
 def test_critical_preconditions():
@@ -598,12 +558,12 @@ def test_volkov_pinned_values():
         "0.092529296875", "0.004527682488266509")
     assert (repr(r.joint.estimate), repr(r.joint.std_error)) == (
         "0.049072265625", "0.003375295790403008")
-    r = verify.volkov_bc_experiment(0.7, 5, 10, 30_000, seed=11, shards=3)
+    r = verify.volkov_bc_experiment(0.7, 5, 10, 30_000, seed=11)
     assert r.horizon == 512
     assert (repr(r.single.estimate), repr(r.single.std_error)) == (
-        "0.40313333333333334", "0.002832059609123655")
+        "0.40253333333333335", "0.002831373335143736")
     assert (repr(r.joint.estimate), repr(r.joint.std_error)) == (
-        "0.1631", "0.002133060321072363")
+        "0.16433333333333333", "0.0021395317937100856")
 
 
 def test_volkov_matches_gambler_across_time_blocks(monkeypatch):

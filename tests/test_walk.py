@@ -237,6 +237,16 @@ def test_samplers_reject_nonpositive_dimension():
         walk.simulate_events(-1, Constant(0.5), 5, _rng())
 
 
+def test_visit_stats_validates_samples_and_horizons():
+    # checked up front, not left to an IndexError or to numpy's shape error
+    with pytest.raises(ValueError, match="horizons must be nonempty"):
+        walk.sample_visit_stats(2, Constant(0.5), 5, 10, _rng(), horizons=[])
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        walk.sample_visit_stats(2, Constant(0.5), 5, -1, _rng())
+    empty = walk.sample_visit_stats(2, Constant(0.5), 5, 0, _rng())
+    assert empty.counts[5].shape == (0,)
+
+
 # d > 128 has more than 256 direction codes, more than one byte holds
 
 @pytest.mark.parametrize("d", [130, 200])
