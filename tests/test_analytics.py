@@ -194,6 +194,10 @@ def test_lyapunov_drift_validation():
         analytics.lyapunov_drift(cfg, (1, 2, 3))
     with pytest.raises(ValueError):
         analytics.lyapunov_drift(cfg, (6, 0))  # |z|^2 = 36 <= a + 1
+    for position in ((1e200, 0), (1e154, 0), (0, -1e100)):  # |z|^4 overflows
+        with pytest.raises(ValueError, match="position"):
+            analytics.lyapunov_drift(cfg, position)
+    assert math.isfinite(analytics.lyapunov_drift(cfg, (1e76, 0)))
 
 
 def test_lyapunov_drift_fixture(fixtures):
@@ -286,6 +290,10 @@ def test_gambler_joint_monotone_and_bracketed(p, gap):
 def test_count_arith_examples():
     assert analytics.count_arith_progression(0.5, 0.0, 2) == 1
     assert analytics.count_arith_progression(0.25, 0.0, 4) == 2
+    for s0 in (1e300, -1e300):  # integers, so the counts of s0 = 0
+        assert analytics.count_arith_progression(0.25, s0, 4) == 2
+        assert analytics.count_arith_progression(0.3, s0, 40) == \
+            analytics.count_arith_progression(0.3, 0.0, 40)
 
 
 def test_count_arith_exact_path_boundary():

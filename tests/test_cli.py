@@ -115,6 +115,24 @@ def test_moments_non_finite_input_exit_2(capsys, args):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("position", ["1e200,0", "1e154,0"])
+def test_lyapunov_huge_position_exit_2(capsys, position):
+    # these used to crash in `** 2` (exit 3) and print "value": null (exit 0)
+    rc, out, err = _run(capsys, ["moments", "--op", "lyapunov", "--p", "0.5", "--a", "43",
+                                 "--position", position])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "position" in err
+
+
+@pytest.mark.parametrize("s0", ["1e300", "-1e300"])
+def test_arith_count_huge_s0(capsys, s0):
+    # an integer s0 leaves frac(k/4 + s0) = frac(k/4): k = 2, 4 count, 1, 3 do not
+    blob = _run_json(capsys, ["moments", "--op", "arith-count", "--s", "0.25",
+                              f"--s0={s0}", "--M", "4"])
+    assert blob["value"] == 2
+
+
 def test_moments_missing_flags_exit_2(capsys):
     rc, _, err = _run(capsys, ["moments", "--op", "sgeom", "--p", "0.5"])
     assert rc == 2
@@ -752,16 +770,43 @@ def test_missing_required_flag_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats alone takes most of a command's start-up time
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports turnwalk from this tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, turnwalk.cli; "
-         "turnwalk.cli._build_parser(); print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
+def test_import_and_parser_load_no_scipy():
+    # scipy.special alone took about half of a command's start-up time
+    proc = _python("import sys, turnwalk.cli; turnwalk.cli._build_parser(); "
+                   "print(sorted(m for m in sys.modules "
+                   "if m == 'scipy' or m.startswith('scipy.')))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_verify_runs_with_scipy_blocked():
+    # a None entry makes every `import scipy...` raise ImportError
+    proc = _python(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from turnwalk import cli\n"
+        "for argv in (['verify', 'scaling', '--d', '2', '--p', '0.5', '--n', '1000',\n"
+        "              '--samples', '400'],\n"
+        "             ['verify', 'critical', '--d', '2', '--a', '1', '--n', '10000',\n"
+        "              '--delta', '0.1', '--samples', '400']):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        rc = cli.run(argv)\n"
+        "    print(rc, 'statistic' in json.loads(out.getvalue()))\n")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        rc, has_statistic = line.split()
+        assert rc in ("0", "1") and has_statistic == "True"
 
 
 def test_module_entry_point():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import stats as sps
+from scipy import special, stats as sps
 
 from turnwalk import analytics, verify, zigzag
 from turnwalk.schedule import Constant, Critical, PowerDecay
@@ -199,11 +199,21 @@ def test_poisson_gof_rejects_shifted_mean():
 
 
 def test_chi2_critical_is_the_scipy_quantile():
-    # 2 * gammaincinv(dof / 2, 1 - alpha) is what scipy.stats.chi2.ppf
-    # computes, so the critical values agree to the last bit
+    # Solved for Q = alpha directly, so compared with chi2.isf, which does the
+    # same; chi2.ppf(1 - alpha) rounds 1 - alpha first, which alone moves the
+    # quantile by about 2e-12 relative at alpha = 1e-6.
     for alpha in (0.01, 0.05, 1e-6):
         for dof in range(1, 301):
-            assert verify._chi2_critical(dof, alpha) == sps.chi2.ppf(1.0 - alpha, dof)
+            crit = verify._chi2_critical(dof, alpha)
+            assert crit == pytest.approx(sps.chi2.isf(alpha, dof), rel=2e-14, abs=0)
+            assert abs(special.gammaincc(dof / 2, crit / 2) / alpha - 1) <= 1e-12
+
+
+def test_normal_cdf_matches_ndtr():
+    x = np.linspace(-40.0, 40.0, 16_001)  # step 0.005, so |x| > 8 is well covered
+    assert np.max(np.abs(verify._normal_cdf(x) - special.ndtr(x))) <= 1e-14
+    left = x[(x >= -8.0) & (x <= 0.0)]
+    assert np.max(np.abs(verify._normal_cdf(left) / special.ndtr(left) - 1)) <= 1e-13
 
 
 def test_subcheck_ratio_zero_allowance_and_nan():
