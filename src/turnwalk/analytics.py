@@ -173,9 +173,9 @@ class LyapunovConfig:
 _MAX_R2 = math.sqrt(sys.float_info.max)
 
 
-def _f_log(r2: float, a: float) -> float:
-    # ln(|z|^2 - a) outside the disc |z|^2 >= a + 1, zero inside
-    return math.log(r2 - a) if r2 - a >= 1.0 else 0.0
+# Most jump magnitudes lyapunov_drift sums, and how many it sums at a time
+_MAX_MAGNITUDES = 10**8
+_MAGNITUDE_CHUNK = 1 << 16
 
 
 def lyapunov_drift(config: LyapunovConfig, position) -> float:
@@ -183,8 +183,9 @@ def lyapunov_drift(config: LyapunovConfig, position) -> float:
     embedded walk at ``position``, plus a certified truncation remainder.
 
     The jump is a uniform axis direction times a Geometric(p) magnitude.
-    Magnitudes are summed up to M = ceil(ln(tail)/ln(1-p)); the discarded
-    tail is covered by the bound
+    Magnitudes are summed up to M = ceil(ln(tail)/ln(1-p)), in chunks of
+    ``_MAGNITUDE_CHUNK``; an M above ``_MAX_MAGNITUDES`` (a tiny p) is refused
+    with a ``ValueError``.  The discarded tail is covered by the bound
 
         q^M [ f(z) + ln(2|z|^2 + 2 M^2) + 2/(M p) ]
 
@@ -194,8 +195,8 @@ def lyapunov_drift(config: LyapunovConfig, position) -> float:
 
     Opposite-direction magnitude pairs are combined through log1p to kill
     the leading cancellation; when a reachable point falls inside the disc,
-    where f plateaus at 0, the code falls back to direct term-by-term
-    summation.
+    where f plateaus at 0, the code falls back to summing the four moves'
+    terms directly.
     """
     if len(position) != 2:
         raise ValueError("lyapunov_drift is defined for 2-d positions")
@@ -211,10 +212,15 @@ def lyapunov_drift(config: LyapunovConfig, position) -> float:
     if r2 <= a + 1.0:
         raise ValueError(
             f"position with |z|^2 = {r2:.6g} is inside the f = 0 disc (need > a + 1 = {a + 1})")
-    if q == 0.0:
+    if p == 1.0:
         M = 1
     else:
-        M = max(1, math.ceil(math.log(tail) / math.log(q)))
+        # log1p keeps ln(1 - p) nonzero where 1 - p rounds to 1
+        magnitudes = math.log(tail) / math.log1p(-p)
+        if not magnitudes <= _MAX_MAGNITUDES:
+            raise ValueError(f"p = {p} is too small: the jump sum would need "
+                             f"{magnitudes:.6g} magnitudes, more than {_MAX_MAGNITUDES:.0e}")
+        M = max(1, math.ceil(magnitudes))
 
     fz = math.log(r2 - a)
     # Smallest |z'|^2 reachable by m <= M axis moves; if it stays outside the
@@ -224,22 +230,21 @@ def lyapunov_drift(config: LyapunovConfig, position) -> float:
         return (abs(u) - m_star) ** 2 + v * v
 
     remainder = (q ** M) * (fz + math.log(2.0 * r2 + 2.0 * M * M) + 2.0 / (M * p))
-
-    if min(worst(x, y), worst(y, x)) >= a + 1.0:
-        m = np.arange(1, M + 1, dtype=float)
-        w = 0.25 * p * q ** (m - 1.0)
-        A = r2 - a
-        ux = m * m * (2.0 * A + m * m - 4.0 * x * x) / (A * A)
-        uy = m * m * (2.0 * A + m * m - 4.0 * y * y) / (A * A)
-        drift = float(np.sum(w * (np.log1p(ux) + np.log1p(uy))))
-        return drift + remainder
-
+    paired = min(worst(x, y), worst(y, x)) >= a + 1.0
+    A = r2 - a
     drift = 0.0
-    for m in range(1, M + 1):
-        w = 0.25 * p * q ** (m - 1)
-        for dx, dy in ((m, 0), (-m, 0), (0, m), (0, -m)):
-            zx, zy = x + dx, y + dy
-            drift += w * (_f_log(zx * zx + zy * zy, a) - fz)
+    for lo in range(1, M + 1, _MAGNITUDE_CHUNK):
+        m = np.arange(lo, min(lo + _MAGNITUDE_CHUNK, M + 1), dtype=float)
+        w = 0.25 * p * q ** (m - 1.0)
+        if paired:
+            ux = m * m * (2.0 * A + m * m - 4.0 * x * x) / (A * A)
+            uy = m * m * (2.0 * A + m * m - 4.0 * y * y) / (A * A)
+            drift += float(np.sum(w * (np.log1p(ux) + np.log1p(uy))))
+            continue
+        for zx, zy in ((x + m, y), (x - m, y), (x, y + m), (x, y - m)):
+            # f(z') = ln(|z'|^2 - a) outside the disc |z'|^2 >= a + 1, 0 inside
+            f = np.log(np.maximum(zx * zx + zy * zy - a, 1.0))
+            drift += float(np.sum(w * (f - fz)))
     return drift + remainder
 
 

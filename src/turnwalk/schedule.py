@@ -109,6 +109,18 @@ class Schedule:
             raise ValueError(f"step index must be an integer >= 1, got {n!r}")
 
 
+def count_order(counts: np.ndarray) -> np.ndarray:
+    """The stable ascending order of nonnegative integer ``counts``.
+
+    Below 2^16 the counts are sorted as uint16, for which numpy's stable
+    sort is a radix sort; the permutation is that of ``np.argsort(counts,
+    kind="stable")``, which larger counts still use.
+    """
+    if counts.size and counts.max() < 1 << 16:
+        counts = counts.astype(np.uint16)
+    return np.argsort(counts, kind="stable")
+
+
 # Points per chunk of ``_TableHazard.step`` (and steps per chunk of its guide):
 # its temporaries are a few arrays of this length
 _CHUNK = 1 << 14
@@ -138,7 +150,7 @@ class _Hazard:
         seg_forced = self.forced(lo, hi)
         base, top = self.at(lo), self.at(hi)
         k = rng.poisson(top - base, samples)
-        order = np.argsort(k, kind="stable")
+        order = count_order(k)
         k = k[order]
         r0 = 0
         while r0 < samples:

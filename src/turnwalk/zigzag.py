@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedule import count_order
 from .walk import Direction
 
 __all__ = [
@@ -207,11 +208,18 @@ def sample_endpoints(d: int, b: float, epsilon: float, samples: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Z_1 of ``samples`` independent labeled realizations on (epsilon, 1].
 
-    Batched: shape (samples, d).  The label chain is generated forward from
-    the first interval instead of outward from the anchor at t = 1; the
-    chain's transition matrix is symmetric, so labels are uniform on every
-    interval and both constructions induce the same joint law (this
-    equivalence is tested against ``label_intervals``).
+    Batched: shape (samples, d).  Each sample first draws its count of
+    points, Poisson(b ln(1/epsilon)).  The samples are then taken in groups
+    of equal count k, in the stable order of their counts.  A group of r
+    samples draws an (r, k + 1) block of standard exponentials; the first k
+    row cumsums divided by the (k + 1)-th are k sorted uniforms (normalized
+    exponential spacings; Devroye, *Non-Uniform Random Variate Generation*,
+    1986, V.2), which exp(ln(epsilon) (1 - u)) maps to the sample's points
+    in time order, so no points are sorted.  The label chain is generated
+    forward from the first interval instead of outward from the anchor at
+    t = 1; the chain's transition matrix is symmetric, so labels are
+    uniform on every interval and both constructions induce the same joint
+    law (this equivalence is tested against ``label_intervals``).
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
@@ -219,44 +227,30 @@ def sample_endpoints(d: int, b: float, epsilon: float, samples: int,
         raise ValueError(f"b must be positive and finite, got {b}")
     if not 0 < epsilon <= 1:
         raise ValueError(f"need 0 < epsilon <= 1, got epsilon={epsilon}")
-    lam = b * math.log(1.0 / epsilon)
-    counts = rng.poisson(lam, samples)
-    total_pts = int(counts.sum())
-    pts = np.exp(rng.uniform(math.log(epsilon), 0.0, total_pts))
-    # sort by owner, then by point: a stable sort by owner of the points
-    # sorted by value keeps each owner's points in order
-    owner = np.repeat(np.arange(samples), counts)
-    order = np.argsort(pts)
-    order = order[np.argsort(owner[order], kind="stable")]
-    pts = pts[order]
-    del owner, order
-
-    n_int = counts + 1
-    total_int = int(n_int.sum())
-    int_owner = np.repeat(np.arange(samples), n_int)
-    starts = np.zeros(samples, dtype=np.int64)
-    np.cumsum(n_int[:-1], out=starts[1:])
-    first = np.zeros(total_int, dtype=bool)
-    first[starts] = True
-    last = np.zeros(total_int, dtype=bool)
-    last[starts + counts] = True
-    lefts = np.empty(total_int)
-    lefts[first] = epsilon
-    lefts[~first] = pts
-    rights = np.empty(total_int)
-    rights[last] = 1.0
-    rights[~last] = pts
-    lengths = rights - lefts
-
-    base = rng.integers(0, 2 * d, samples)
-    inc = np.zeros(total_int, dtype=np.int64)
-    inc[~first] = 1 + rng.integers(0, 2 * d - 1, total_pts)
-    csum = np.cumsum(inc)
-    labels = (base[int_owner] + csum - csum[starts][int_owner]) % (2 * d)
-    axis = labels // 2
-    sign = 1 - 2 * (labels % 2)
-
-    # summed in interval order per (sample, axis) cell, as a sequential add
-    coords = np.bincount(int_owner * d + axis, weights=sign * lengths,
-                         minlength=samples * d)
-    return coords.reshape(samples, d)
+    log_eps = math.log(epsilon)
+    counts = rng.poisson(-b * log_eps, samples)
+    order = count_order(counts)
+    ends = np.flatnonzero(np.diff(counts[order])) + 1
+    coords = np.empty((samples, d))
+    for rows in np.split(order, ends) if samples else ():
+        r, k = rows.size, int(counts[rows[0]])
+        # row cumsums over their last: k sorted uniforms, then exactly 1,
+        # which the map takes to the k points, then to the right end 1
+        rights = rng.standard_exponential((r, k + 1))
+        np.cumsum(rights, axis=1, out=rights)
+        rights /= rights[:, -1:]
+        np.subtract(1.0, rights, out=rights)
+        rights *= log_eps
+        np.exp(rights, out=rights)
+        lengths = np.diff(rights, axis=1, prepend=epsilon)
+        del rights
+        steps = np.empty((r, k + 1), dtype=np.int64)
+        steps[:, 0] = rng.integers(0, 2 * d, r)
+        steps[:, 1:] = 1 + rng.integers(0, 2 * d - 1, (r, k))
+        labels = np.cumsum(steps, axis=1, out=steps) % (2 * d)
+        lengths[labels % 2 == 1] *= -1.0
+        # summed in interval order per (row, axis) cell, as a sequential add
+        cells = labels // 2 + d * np.arange(r)[:, None]
+        coords[rows] = np.bincount(cells.ravel(), weights=lengths.ravel(),
+                                   minlength=r * d).reshape(r, d)
+    return coords

@@ -240,6 +240,58 @@ def test_lyapunov_drift_matches_direct_summation():
     assert got == pytest.approx(ref, abs=1e-12)
 
 
+def _paired_drift_unchunked(p, a, tail, x, y):
+    # the paired log1p sum over all M magnitudes at once, plus the remainder
+    q = 1 - p
+    M = math.ceil(math.log(tail) / math.log1p(-p))
+    r2 = x * x + y * y
+    m = np.arange(1, M + 1, dtype=float)
+    w = 0.25 * p * q ** (m - 1.0)
+    A = r2 - a
+    ux = m * m * (2.0 * A + m * m - 4.0 * x * x) / (A * A)
+    uy = m * m * (2.0 * A + m * m - 4.0 * y * y) / (A * A)
+    fz = math.log(A)
+    remainder = q ** M * (fz + math.log(2 * r2 + 2 * M * M) + 2 / (M * p))
+    return float(np.sum(w * (np.log1p(ux) + np.log1p(uy)))) + remainder
+
+
+def test_lyapunov_drift_one_chunk_is_the_unchunked_sum():
+    # M = 40 fits one chunk, so the drift is the old single sum bit for bit
+    got = analytics.lyapunov_drift(LyapunovConfig(0.5, 43.0), (200, 0))
+    assert got == _paired_drift_unchunked(0.5, 43.0, 1e-12, 200.0, 0.0)
+
+
+def test_lyapunov_drift_chunks_match_unchunked(monkeypatch):
+    # M = 2750 magnitudes in chunks of 64
+    monkeypatch.setattr(analytics, "_MAGNITUDE_CHUNK", 64)
+    got = analytics.lyapunov_drift(LyapunovConfig(0.01, 43.0), (3000, 4000))
+    assert got == pytest.approx(_paired_drift_unchunked(0.01, 43.0, 1e-12, 3000.0, 4000.0),
+                                rel=1e-12)
+
+
+def test_lyapunov_drift_tiny_p_in_bounded_memory():
+    # p = 1e-6: M = 27,631,008, which the unchunked sum held as five arrays
+    # of 221 MB each; here the reference sums the same terms in 10^6 slices
+    p, a, tail, x, y = 1e-6, 43.0, 1e-12, 1e4, 1e4
+    tracemalloc.start()
+    try:
+        got = analytics.lyapunov_drift(LyapunovConfig(p, a, tail), (x, y))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    q, M, A = 1 - p, math.ceil(math.log(tail) / math.log1p(-p)), x * x + y * y - a
+    assert M == 27_631_008
+    parts = []
+    for lo in range(1, M + 1, 10 ** 6):
+        m = np.arange(lo, min(lo + 10 ** 6, M + 1), dtype=float)
+        u = m * m * (2.0 * A + m * m - 4.0 * x * x) / (A * A)  # x == y
+        parts.append(float(np.sum(0.5 * p * q ** (m - 1.0) * np.log1p(u))))
+    fz = math.log(A)
+    ref = math.fsum(parts) + q ** M * (fz + math.log(2 * (A + a) + 2 * M * M) + 2 / (M * p))
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
 def test_lyapunov_drift_near_disc_uses_plateau():
     # reachable points inside the disc contribute f = 0; just check the
     # fallback evaluates and bounds stay finite

@@ -125,6 +125,23 @@ def test_lyapunov_huge_position_exit_2(capsys, position):
     assert err.startswith("error: ") and "position" in err
 
 
+@pytest.mark.parametrize("p", ["1e-17", "1e-10"])
+def test_lyapunov_tiny_p_exit_2_without_allocating(capsys, p):
+    # 1e-17 used to crash (1 - p rounds to 1, exit 3); at 1e-10 the sum would
+    # need about 2.8e11 magnitudes, terabytes if allocated
+    tracemalloc.start()
+    try:
+        rc, out, err = _run(capsys, ["moments", "--op", "lyapunov", "--p", p, "--a", "43",
+                                     "--position", "200,0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: p = {p} is too small")
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("s0", ["1e300", "-1e300"])
 def test_arith_count_huge_s0(capsys, s0):
     # an integer s0 leaves frac(k/4 + s0) = frac(k/4): k = 2, 4 count, 1, 3 do not

@@ -16,6 +16,7 @@ from turnwalk.schedule import (
     Regime,
     Schedule,
     classify_regime,
+    count_order,
     schedule_from_json,
     schedule_to_json,
 )
@@ -232,6 +233,14 @@ def test_table_hazard_step_memory(layout):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 1e6
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.lists(st.one_of(st.integers(0, 5), st.integers(0, 1 << 17)), max_size=60))
+def test_count_order_is_the_stable_argsort(counts):
+    # uint16 counts go through a radix sort; counts from 2^16 up do not
+    counts = np.array(counts, dtype=np.int64)
+    assert np.array_equal(count_order(counts), np.argsort(counts, kind="stable"))
 
 
 @pytest.mark.parametrize("t", [10 ** 4, 10 ** 7, 10 ** 9])

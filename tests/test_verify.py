@@ -175,6 +175,40 @@ def test_ks_two_sample_matches_scipy_with_ties():
             sps.ks_2samp(x, y).statistic, rel=1e-12)
 
 
+def _ks_two_sample_searchsorted(x, y):
+    # the ECDFs read at every pooled value by binary search
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    pooled = np.concatenate([x, y])
+    fx = np.searchsorted(x, pooled, side="right") / x.size
+    fy = np.searchsorted(y, pooled, side="right") / y.size
+    return float(np.max(np.abs(fx - fy)))
+
+
+_TIED = st.lists(st.integers(-3, 3).map(lambda v: v / 2), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(_TIED, st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=2)),
+       y=_TIED)
+def test_ks_two_sample_is_the_searchsorted_statistic(x, y):
+    assert ks_two_sample(x, y) == _ks_two_sample_searchsorted(x, y)
+    assert ks_two_sample(y, x) == _ks_two_sample_searchsorted(y, x)
+
+
+def test_critical_limit_test_memory():
+    # the verify critical --d 3 batch; the zigzag side once sorted all its
+    # points and peaked at 39.0 MB here
+    tracemalloc.start()
+    try:
+        report = verify.critical_limit_test(3, 1.0, 10 ** 5, 10 ** 5, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 26e6
+
+
 def test_ks_critical_value():
     assert ks_critical(0.01) == pytest.approx(math.sqrt(-math.log(0.005) / 2))
     assert ks_critical(0.01) == pytest.approx(1.6276, abs=2e-4)

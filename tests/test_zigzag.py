@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turnwalk import verify, zigzag
 from turnwalk.verify import ks_critical, ks_two_sample, poisson_gof
@@ -286,13 +287,14 @@ def test_sample_endpoints_validation():
 
 
 @pytest.mark.parametrize("d, digest", [
-    (1, "b490de2d5f0952b47cb8fd24b8deae44c63a387a72022af2c1b49c37bfabd723"),
-    (2, "01e0cb88d504851c457dba9fdc9a15ae51081365f900dbabc903f59900b70b34"),
-    (3, "dd0651f773b257c630f069fefa8a8774f07ac63d9918d462348554fe5a9b7133"),
+    (1, "2c086e400ad465199a4a2646dd2574cd40e98e58a8059a0b3ada0ed74108dd4f"),
+    (2, "91224805b03071824abd37121e3c732066f371558de1da324abf0ba201045dea"),
+    (3, "a3360810e417b9ee91e3f8f6079ae1c56d47eac8e37043d3870c236b565f9d9d"),
 ])
 def test_sample_endpoints_pinned_digest(d, digest):
-    # the endpoints' float64 bytes, hashed: the points sorted per sample and
-    # the lengths summed in interval order give these bits
+    # the endpoints' float64 bytes, hashed: the samples grouped by count,
+    # each group's points drawn as exponential spacings, and the lengths
+    # summed in interval order give these bits
     out = zigzag.sample_endpoints(d, zigzag.b_from_a(1, d), 0.1, 20_000,
                                   np.random.default_rng(d))
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
@@ -307,4 +309,14 @@ def test_sample_endpoints_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 34.3e6
+    assert peak <= 9.8e6  # 8.54 MB measured, plus 15%
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), b=st.floats(0.05, 20.0),
+       epsilon=st.floats(1e-6, 1.0, exclude_min=True), seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_endpoints_within_l1_ball(d, b, epsilon, seed):
+    # unit speed on (epsilon, 1]: every endpoint has |Z|_1 <= 1 - epsilon
+    out = zigzag.sample_endpoints(d, b, epsilon, 200, _rng(seed))
+    assert out.shape == (200, d)
+    assert np.all(np.abs(out).sum(axis=1) <= 1.0 - epsilon + 1e-12)
