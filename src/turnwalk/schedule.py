@@ -145,7 +145,9 @@ class _Hazard:
         exponential spacings so they come out sorted, and the segment's
         forced steps give ``count[r]`` ascending redraw steps
         ``steps[r, :count[r]]``; a step hit twice appears twice, and the
-        rest of the row is hi + 1.
+        rest of the row is hi + 1.  Only each row's own points go through
+        ``step``; the padding to the block's widest row is set to hi + 1
+        without an inversion (``_poisson_steps``).
         """
         seg_forced = self.forced(lo, hi)
         base, top = self.at(lo), self.at(hi)
@@ -163,7 +165,13 @@ class _Hazard:
             r0 = r1
 
     def _poisson_steps(self, lo, hi, base, top, seg_forced, k, rng):
-        """One block's redraw steps: ``k[r]`` points per row (``k`` ascending)."""
+        """One block's redraw steps: ``k[r]`` points per row (``k`` ascending).
+
+        Row r's points are the first k[r] normalized spacings of its row,
+        scaled to nc(lo)..nc(hi).  Only these real points are inverted by
+        ``step``; the rest of each row, the padding to the widest count, is
+        set to hi + 1 without an inversion.
+        """
         b = k.size
         width = int(k[-1])
         spacings = rng.standard_exponential((b, width + 1))
@@ -172,16 +180,17 @@ class _Hazard:
         else:
             np.cumsum(spacings, axis=1, out=spacings)
             scale = (top - base) / spacings[np.arange(b), k]
-            points = spacings[:, :width]
-            points *= scale[:, None]
+            real = np.arange(width) < k[:, None]
+            points = spacings[:, :width][real]
+            del spacings
+            points *= np.repeat(scale, k)
             points += base
-            # row r's points beyond k[r] overshoot the segment and are
-            # dropped below; capped, they keep a closed-form inverse finite
-            np.minimum(points, top, out=points)
-            steps = self.step(points)
-            np.clip(steps, lo + 1, hi, out=steps)  # rounding at the ends
-            del spacings, points
-            steps[np.arange(width) >= k[:, None]] = hi + 1
+            np.minimum(points, top, out=points)  # rounding past the end
+            found = self.step(points)
+            del points
+            np.clip(found, lo + 1, hi, out=found)  # rounding at the ends
+            steps = np.full((b, width), hi + 1, dtype=np.int64)
+            steps[real] = found
         if seg_forced.size:
             steps = np.sort(np.concatenate(
                 [steps, np.broadcast_to(seg_forced, (b, seg_forced.size))], axis=1), axis=1)
@@ -273,12 +282,24 @@ class _TableHazard(_Hazard):
 
 
 def _settle(at, x, t):
-    """Move each guess t, off by a few steps, to min{t : at(t) >= x}."""
-    while (over := at(t - 1) >= x).any():
-        t -= over
-    while (under := at(t) < x).any():
-        t += under
-    return t
+    """Move each guess t, off by a few steps, to min{t : at(t) >= x}.
+
+    ``at`` must be elementwise and nondecreasing, and t float64 below 2^53
+    (where t - 1 != t).  It is evaluated on every point once in each
+    direction; after that only the points still off are moved and evaluated
+    again.
+    """
+    shape = np.shape(t)
+    x, t = np.ravel(x), np.ravel(t)
+    off = np.flatnonzero(at(t - 1) >= x)
+    while off.size:
+        t[off] -= 1
+        off = off[at(t[off] - 1) >= x[off]]
+    off = np.flatnonzero(at(t) < x)
+    while off.size:
+        t[off] += 1
+        off = off[at(t[off]) < x[off]]
+    return t.reshape(shape)
 
 
 def _constant_step(x, h):

@@ -75,10 +75,14 @@ unchanged.  Such duplicates occur only in this Poisson placement.
 
 Paths are processed in (paths x runs) blocks of bounded size, and a
 horizon too long for one block is cut into segments that each path crosses
-carrying its position and direction; snapshot times and change-window
-bounds also end segments, so a snapshot is a carried position.  The
-callers only read the runs: target hits run by run, carried positions and
-direction changes, or the redraw events of each path.
+carrying its heading; snapshot times and change-window bounds also end
+segments.  The engine draws runs and nothing else; each observer does its
+own arithmetic on them.  ``sample_positions`` carries each path's
+position, summed per block by one bincount of run lengths by (path,
+direction), so a snapshot is a carried position, and counts direction
+changes between consecutive nonzero-length runs; ``sample_visit_stats``
+carries each path's position relative to its target and finds the target
+hits run by run; ``_event_paths`` reads each path's redraw events.
 """
 
 from __future__ import annotations
@@ -314,7 +318,7 @@ def _event_paths(d, schedule, n, samples, rng, start=None):
     group = max(1, int(_GROUP_CELLS // (1 + hz.at(n) + hz.n_forced(n))))
     for g0 in range(0, samples, group):
         events = [[] for _ in range(min(group, samples - g0))]
-        for lo, _hi, rows, starts, length, dirs, *_ in _runs(d, hz, n, len(events), rng):
+        for lo, _hi, rows, starts, length, dirs in _runs(d, hz, n, len(events), rng):
             # a zero-length run is a draw overwritten at the same step; the
             # carried run is the step-1 draw in the first segment only
             keep = length > 0
@@ -446,21 +450,15 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
         positions[n][:] = _constant_endpoints(d, schedule.p, n, samples, rng)
     else:
         cuts = set(times) | set(count_changes_in or ())
-        for lo, hi, rows, _starts, length, dirs, _q, end in _runs(
+        pos = np.zeros((samples, d), dtype=_engine_dtype(n))
+        for lo, hi, rows, _starts, length, dirs in _runs(
                 d, schedule.hazard(n), n, samples, rng, cuts=cuts, first=first):
+            pos[rows] += _displacements(d, length, dirs, pos.dtype)
             if hi in positions:
-                positions[hi][rows] = end
+                positions[hi][rows] = pos[rows]
             if changes is not None and count_changes_in[0] <= lo \
                     and hi <= count_changes_in[1]:
-                # a change is a nonzero-length run heading elsewhere than the
-                # last nonzero-length run before it, or else than the carried
-                # run 0, which holds the heading at step lo whatever its length
-                moves = length > 0
-                last = np.where(moves, np.arange(moves.shape[1]), 0)
-                np.maximum.accumulate(last, axis=1, out=last)
-                before = np.take_along_axis(dirs, last[:, :-1], axis=1)
-                changes[rows] += np.count_nonzero(moves[:, 1:] & (dirs[:, 1:] != before),
-                                                  axis=1)
+                changes[rows] += _turns(length, dirs)
     return PositionsSample(positions, changes)
 
 
@@ -490,6 +488,47 @@ def _constant_endpoints(d, p, n, samples, rng):
         runs_left = rest
     totals[:, k - 1] = steps_left
     return totals[:, 0::2] - totals[:, 1::2]
+
+
+def _displacements(d, length, dirs, dtype):
+    """Each row's displacement over its runs, shape (b, d), in ``dtype``.
+
+    One bincount by (row, direction code) gives the total length T(c) of
+    each direction, and coordinate i is T(+i) - T(-i), as in
+    ``_constant_endpoints``.  The float64 sums are exact: every total is at
+    most n < 2^53.
+    """
+    b = dirs.shape[0]
+    key = np.add(dirs, (2 * d) * np.arange(b)[:, None], dtype=np.intp)
+    totals = np.bincount(key.ravel(), weights=length.ravel(), minlength=2 * d * b)
+    del key
+    totals = totals.reshape(b, d, 2)
+    return (totals[:, :, 0] - totals[:, :, 1]).astype(dtype)
+
+
+def _turns(length, dirs):
+    """Each row's direction changes over its runs.
+
+    A change is a nonzero-length run heading elsewhere than the previous
+    such run in its row, or else than the carried run 0, which holds the
+    heading at the segment's start whatever its length.  So run 0 and the
+    nonzero-length runs are taken in order, and consecutive codes compared.
+    """
+    keep = length > 0
+    keep[:, 0] = True
+    count = np.count_nonzero(keep, axis=1)
+    code = dirs[keep]
+    turned = np.empty(code.size, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=turned[1:])
+    first = np.zeros(count.size, dtype=np.intp)  # each row's run 0
+    np.cumsum(count[:-1], out=first[1:])
+    turned[first] = False
+    return np.add.reduceat(turned, first, dtype=np.intp)
+
+
+def _engine_dtype(n):
+    """The run engine's integers over n steps: int32 when n < 2^31 - 1."""
+    return np.int32 if n < 2 ** 31 - 1 else np.int64
 
 
 def _code_dtype(d):
@@ -567,8 +606,22 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     if samples == 0:
         return VisitStats(counts, late)
 
-    for _lo, _hi, rows, starts, length, dirs, q, _end in _runs(
-            d, schedule.hazard(n), n, samples, rng, target=target):
+    # |position - target|_1 <= n + |target|_1 bounds every integer below
+    dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64
+    rel = np.tile(-np.asarray(target, dtype=dtype), (samples, 1))  # position - target
+    for _lo, _hi, rows, starts, length, dirs in _runs(
+            d, schedule.hazard(n), n, samples, rng):
+        axis = dirs >> 1
+        signed = np.where(dirs & 1, -length, length)
+        # q[c]: position - target before each run, an exclusive per-row
+        # cumsum from the carried one
+        q = np.empty((d,) + dirs.shape, dtype=dtype)
+        for c, qc in enumerate(q):
+            qc[:, 0] = rel[rows, c]
+            np.multiply(signed[:, :-1], axis[:, :-1] == c, out=qc[:, 1:])
+            np.cumsum(qc, axis=1, out=qc)
+            rel[rows, c] = qc[:, -1] + signed[:, -1] * (axis[:, -1] == c)
+        del axis, signed
         # the run hits iff the target lies ahead on its axis, within its
         # length: then the L1 distance equals the signed on-axis offset
         dist = np.abs(q).sum(axis=0, dtype=q.dtype)
@@ -619,16 +672,17 @@ def _segments(hz, n, cuts=(), first=0):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _runs(d, hz, n, samples, rng, target=None, cuts=(), first=0):
+def _runs(d, hz, n, samples, rng, cuts=(), first=0):
     """Draw ``samples`` paths over steps first + 1..n and yield their runs by block.
 
     Each path starts at step ``first`` (0 for a whole path) with a uniform
     heading: step 1's draw, or the heading at step ``first``, whose law is
     the same.  The steps are cut into segments (``_segments``); each path
-    crosses a segment carrying its position and heading.  Per segment, ``hz``,
-    the caller's ``schedule.hazard(n)``, places each path's redraw steps in
-    blocks of at most about ``_BLOCK_CELLS`` runs: Poisson points in hazard
-    time, or geometric gaps at a constant rate.  Per block, yields
+    crosses a segment carrying its heading, and nothing else.  Per segment,
+    ``hz``, the caller's ``schedule.hazard(n)``, places each path's redraw
+    steps in blocks of at most about ``_BLOCK_CELLS`` runs: Poisson points
+    in hazard time, or geometric gaps at a constant rate.  Per block, yields
+    ``(lo, hi, rows, starts, length, dirs)``:
 
     * ``lo, hi``: the segment, steps lo + 1..hi;
     * ``rows``: the block's paths;
@@ -637,32 +691,22 @@ def _runs(d, hz, n, samples, rng, target=None, cuts=(), first=0):
       direction code (axis ``code >> 1``, backwards when odd).  Run 0 is
       the one carried in, then one run per redraw; padding runs start at
       hi + 1.  A zero-length run is a draw overwritten at the same step,
-      which only the Poisson placement makes;
-    * ``q`` (d, b, m): position (S_t - S_first) minus ``target`` before
-      each run, per coordinate, and ``end`` (b, d): the same after step hi.
+      which only the Poisson placement makes.
+
+    Positions are left to the callers (module docstring).  The steps are
+    placed in float64, so n must stay below 2^53, where every step is
+    exact; a longer horizon is refused before any draw.
     """
-    target = (0,) * d if target is None else target
-    # |position - target|_1 <= n + |target|_1 bounds every engine integer
-    dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64
-    rel = np.tile(-np.asarray(target, dtype=dtype), (samples, 1))
+    if n >= 2 ** 53:
+        raise ValueError(f"the run engine needs n < 2^53, where float64 steps are "
+                         f"exact, got n = {n}")
+    dtype = _engine_dtype(n)
     heading = rng.integers(0, 2 * d, samples, dtype=_code_dtype(d))
     for lo, hi in _segments(hz, n, cuts, first):
         for rows, steps, count in hz.redraws(lo, hi, samples, _BLOCK_CELLS, rng):
             starts, dirs = _block_runs(d, lo, hi, steps, count, heading, rows, dtype, rng)
             del steps  # the runs' starts replace it for the rest of the block
-            length = np.diff(starts, axis=1)
-            axis = dirs >> 1
-            signed = np.where(dirs & 1, -length, length)
-            # q[c]: an exclusive per-row cumsum from the carried position
-            q = np.empty((d,) + dirs.shape, dtype=dtype)
-            end = np.empty((rows.size, d), dtype=dtype)
-            for c, qc in enumerate(q):
-                qc[:, 0] = rel[rows, c]
-                np.multiply(signed[:, :-1], axis[:, :-1] == c, out=qc[:, 1:])
-                np.cumsum(qc, axis=1, out=qc)
-                end[:, c] = qc[:, -1] + signed[:, -1] * (axis[:, -1] == c)
-            rel[rows] = end
-            yield lo, hi, rows, starts, length, dirs, q, end
+            yield lo, hi, rows, starts, np.diff(starts, axis=1), dirs
 
 
 def _block_runs(d, lo, hi, steps, count, heading, rows, dtype, rng):

@@ -244,13 +244,18 @@ def sample_endpoints(d: int, b: float, epsilon: float, samples: int,
         np.exp(rights, out=rights)
         lengths = np.diff(rights, axis=1, prepend=epsilon)
         del rights
-        steps = np.empty((r, k + 1), dtype=np.int64)
-        steps[:, 0] = rng.integers(0, 2 * d, r)
-        steps[:, 1:] = 1 + rng.integers(0, 2 * d - 1, (r, k))
-        labels = np.cumsum(steps, axis=1, out=steps) % (2 * d)
-        lengths[labels % 2 == 1] *= -1.0
+        # the label chain, built in place: a uniform first label, then
+        # steps of 1..2d - 1 mod 2d; odd labels run backwards on axis label >> 1
+        labels = np.empty((r, k + 1), dtype=np.intp)
+        labels[:, 0] = rng.integers(0, 2 * d, r)
+        labels[:, 1:] = rng.integers(0, 2 * d - 1, (r, k))
+        labels[:, 1:] += 1
+        np.cumsum(labels, axis=1, out=labels)
+        np.remainder(labels, 2 * d, out=labels)
+        lengths *= 1 - ((labels & 1) << 1)  # -1 on odd labels, exact
         # summed in interval order per (row, axis) cell, as a sequential add
-        cells = labels // 2 + d * np.arange(r)[:, None]
-        coords[rows] = np.bincount(cells.ravel(), weights=lengths.ravel(),
+        np.right_shift(labels, 1, out=labels)
+        labels += d * np.arange(r)[:, None]
+        coords[rows] = np.bincount(labels.ravel(), weights=lengths.ravel(),
                                    minlength=r * d).reshape(r, d)
     return coords

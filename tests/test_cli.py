@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from turnwalk.schedule import PowerDecay
 from turnwalk.verify import EstimatorResult, TestReport, VolkovResult
 
 CONST_HALF = '{"kind": "Constant", "p": 0.5}'
+CRITICAL_1 = '{"kind": "Critical", "a": 1}'
 CRITICAL_1_N0_2 = '{"kind": "Critical", "a": 1, "n0": 2}'
 POWER_DECAY = '{"kind": "PowerDecay", "c": 1, "gamma": 0.7}'
 
@@ -273,6 +275,21 @@ def test_simulate_events_builds_one_hazard_table(tmp_path, monkeypatch):
     assert rc == 0
     assert sum(groups) == 50 and len(groups) > 1
     assert built == [10 ** 6]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--d", "1", "--schedule", CRITICAL_1, "--n", "18014398509481985",
+     "--sampler", "events", "--seed", "0"],
+    ["verify", "recurrence", "--d", "1", "--schedule", CRITICAL_1,
+     "--horizons", "18014398509481985", "--samples", "10"],
+])
+def test_run_engine_horizon_past_2_53_exits_2(capsys, argv):
+    # float64 steps are inexact there, where settling a step never ended
+    start = time.perf_counter()
+    rc, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert "n < 2^53" in err
 
 
 def test_simulate_rejected_argument_writes_nothing(tmp_path, capsys):

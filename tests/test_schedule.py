@@ -15,6 +15,7 @@ from turnwalk.schedule import (
     PowerDecay,
     Regime,
     Schedule,
+    _settle,
     classify_regime,
     count_order,
     schedule_from_json,
@@ -241,6 +242,59 @@ def test_count_order_is_the_stable_argsort(counts):
     # uint16 counts go through a radix sort; counts from 2^16 up do not
     counts = np.array(counts, dtype=np.int64)
     assert np.array_equal(count_order(counts), np.argsort(counts, kind="stable"))
+
+
+def _settle_form(form):
+    """(at, the steps of its explicit table) for the constant and the
+    Critical tail forms that ``_settle`` corrects."""
+    if form == "constant":
+        h = -math.log1p(-0.3)
+        return (lambda s: (s - 1) * h), np.arange(1.0, 2_000.0)
+    hz = Critical(float(form[len("critical "):]), n0=3).hazard(10 ** 6)
+    return (lambda s: hz._f(s + (1 - hz._a)) + hz._c), \
+        np.arange(hz._end + 10.0, hz._end + 2_000.0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (400,), (20, 20)])
+@pytest.mark.parametrize("form", ["constant", "critical 1", "critical 2.5"])
+def test_settle_lands_on_the_table_search(form, shape):
+    # guesses up to 3 steps off either way settle on min{t : at(t) >= x},
+    # the step np.searchsorted finds in an explicit table of at
+    at, steps = _settle_form(form)
+    table = at(steps)
+    rng = np.random.default_rng(17)
+    size = math.prod(shape)
+    x = np.concatenate([table[10:-10], np.nextafter(table[10:-10], np.inf),
+                        rng.uniform(table[10], table[-10], 2_000)])
+    x = rng.choice(x, size).reshape(shape)
+    want = steps[np.searchsorted(table, x)]
+    guess = want + rng.integers(-3, 4, shape)
+    got = _settle(at, x, guess.astype(float))
+    assert got.shape == shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("schedule", [Critical(1.0, n0=2), Critical(2.5, n0=3, prefix_p=0.4),
+                                      PowerDecay(1.0, 0.7),
+                                      Explicit((0.5, 1.0, 0.0, 0.9, 1.0, 0.3))])
+def test_step_inverts_only_real_points(schedule):
+    # per block, ``step`` sees exactly the rows' sum(k) Poisson points, none
+    # of the padding to the widest row, which reads hi + 1 uninverted
+    n, samples = 400, 600
+    hz = schedule.hazard(n)
+    seen, step = [], hz.step
+    hz.step = lambda x: (seen.append(np.size(x)), step(x))[1]
+    rng = np.random.default_rng(23)
+    blocks = 0
+    for lo, hi in ((0, 40), (40, n)):
+        forced = hz.forced(lo, hi).size
+        for rows, steps, count in hz.redraws(lo, hi, samples, 256, rng):
+            k = count - forced
+            assert seen == ([int(k.sum())] if k.max() else [])
+            seen.clear()
+            assert np.array_equal(np.count_nonzero(steps <= hi, axis=1), count)
+            assert np.all(steps[steps > hi] == hi + 1)
+            blocks += 1
+    assert blocks > 2
 
 
 @pytest.mark.parametrize("t", [10 ** 4, 10 ** 7, 10 ** 9])

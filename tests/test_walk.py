@@ -434,13 +434,10 @@ def test_visit_block_carries_each_rows_own_heading():
     # are Poisson points.  Path 0 redraws twice in each, path 1 never: path 1
     # keeps its heading and runs straight on, path 0 ends on its last draw.
     # With unit spacings path 0 redraws at steps 3, 4, 7, 9.
-    end = np.zeros((2, 1), dtype=np.int64)
-    for _lo, hi, rows, *_, block_end in walk._runs(
-            1, Explicit((0.5,)).hazard(10), 10, 2, _ScriptedRng([2, 0]), cuts={5}):
-        if hi == 10:
-            end[rows] = block_end
+    out = walk.sample_positions(1, Explicit((0.5,)), 10, 2, _ScriptedRng([2, 0]),
+                                times=(5, 10))
     # path 0: +2 on steps 1-2, then back on steps 3-10
-    assert end[:, 0].tolist() == [-6, 10]
+    assert out.at(10)[:, 0].tolist() == [-6, 10]
 
 
 class _ScriptedGapRng(_ScriptedRng):
@@ -461,12 +458,9 @@ def test_gap_block_carries_each_rows_own_heading():
     # the same two segments at the constant rate 1/2, where a gap is
     # 1 + floor(E / log 2): path 0 redraws every second step from step 1,
     # at 3, 5 and then, from step 5, at 7 and 9; path 1's gaps pass hi
-    end = np.zeros((2, 1), dtype=np.int64)
-    for _lo, hi, rows, *_, block_end in walk._runs(
-            1, Constant(0.5).hazard(10), 10, 2, _ScriptedGapRng(), cuts={5}):
-        if hi == 10:
-            end[rows] = block_end
-    assert end[:, 0].tolist() == [-6, 10]
+    out = walk.sample_positions(1, Constant(0.5), 10, 2, _ScriptedGapRng(),
+                                times=(5, 10))
+    assert out.at(10)[:, 0].tolist() == [-6, 10]
 
 
 @settings(max_examples=80, deadline=None)
@@ -721,16 +715,58 @@ _SCHEDULES = st.one_of(
 )
 
 
+def _replay_runs(d, samples, blocks, times, window):
+    """Snapshots at ``times`` and direction changes in ``window`` of the
+    recorded ``(lo, hi, rows, length, dirs)`` blocks, replayed step by step."""
+    pos = np.zeros((samples, d), dtype=np.int64)
+    snaps = {t: np.zeros((samples, d), dtype=np.int64) for t in times}
+    changes = np.zeros(samples, dtype=np.int64)
+    for lo, hi, rows, length, dirs in blocks:
+        for path, lengths, codes in zip(rows.tolist(), length.tolist(), dirs.tolist()):
+            heading = [codes[0]]  # at step lo: the carried run's
+            for steps, code in zip(lengths, codes):
+                heading += [code] * steps
+            assert len(heading) == hi - lo + 1
+            for code in heading[1:]:
+                pos[path, code >> 1] += -1 if code & 1 else 1
+            if window[0] <= lo and hi <= window[1]:
+                changes[path] += sum(a != b for a, b in zip(heading, heading[1:]))
+            if hi in snaps:
+                snaps[hi][path] = pos[path]
+    return snaps, changes
+
+
 @settings(max_examples=60, deadline=None)
 @given(_SCHEDULES, st.integers(min_value=1, max_value=3),
        st.integers(min_value=1, max_value=60), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([4, walk._BLOCK_CELLS]), st.integers(1, 5))
-def test_simulate_events_times_increase_from_one(schedule, d, n, seed, cells, size):
+       st.sampled_from([4, walk._BLOCK_CELLS]), st.integers(1, 5), st.data())
+def test_simulate_events_times_increase_from_one(schedule, d, n, seed, cells, size, data):
     # one path, then a group of ``size`` paths from one _event_paths call
     with mock.patch.object(walk, "_BLOCK_CELLS", cells):
         path = walk.simulate_events(d, schedule, n, _rng(seed))
         group = list(walk._event_paths(d, schedule, n, size, _rng(seed)))
     assert len(group) == size
+    # sample_positions from step ``first`` with snapshot cuts: its
+    # snapshots, endpoints and change counts are those of a step-by-step
+    # replay of the very runs the engine yielded
+    first = data.draw(st.integers(0, n - 1))
+    times = data.draw(st.sets(st.integers(first, n), max_size=3)) | {n}
+    w0 = data.draw(st.integers(max(first, 1), n))
+    window = (w0, data.draw(st.integers(w0, n)))
+    blocks, runs = [], walk._runs
+
+    def recorded(*args, **kwargs):
+        for lo, hi, rows, starts, length, dirs in runs(*args, **kwargs):
+            blocks.append((lo, hi, rows.copy(), length.copy(), dirs.copy()))
+            yield lo, hi, rows, starts, length, dirs
+    with mock.patch.object(walk, "_BLOCK_CELLS", cells), \
+            mock.patch.object(walk, "_runs", recorded):
+        out = walk.sample_positions(d, schedule, n, 2 * size, _rng(seed), times=times,
+                                    count_changes_in=window, first=first)
+    snaps, changes = _replay_runs(d, 2 * size, blocks, times, window)
+    for t in times:
+        assert np.array_equal(out.at(t), snaps[t])
+    assert np.array_equal(out.change_counts, changes)
     p = schedule.prefix_probs(n)
     for path in [path, *group]:
         times = [ev.update_time for ev in path.events]
@@ -740,6 +776,31 @@ def test_simulate_events_times_increase_from_one(schedule, d, n, seed, cells, si
         # forced steps always redraw, frozen ones never do
         assert {t for t in range(2, n + 1) if p[t - 1] >= 1.0} <= set(times)
         assert not {t for t in times if t > 1 and p[t - 1] == 0.0}
+
+
+class _NoDrawRng:
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} called")
+
+
+@pytest.mark.parametrize("schedule", [Critical(1.0), Constant(0.5), Constant(1.0)])
+def test_run_engine_refuses_horizons_past_2_53_before_any_draw(schedule):
+    # past 2^53 float64 steps are inexact (t - 1 == t at 2^54 + 1)
+    n = 2 ** 53
+    with pytest.raises(ValueError, match=r"n < 2\^53"):
+        walk.sample_visit_stats(1, schedule, n, 3, _NoDrawRng())
+    with pytest.raises(ValueError, match=r"n < 2\^53"):
+        walk.sample_positions(1, schedule, n, 3, _NoDrawRng(), count_changes_in=(1, n))
+    with pytest.raises(ValueError, match=r"n < 2\^53"):
+        walk.simulate_events(1, schedule, n, _NoDrawRng())
+
+
+def test_constant_shortcut_serves_horizons_past_2_53():
+    # the composition shortcut never places steps, so any n is exact
+    n = 2 ** 60 + 1
+    end = walk.sample_positions(2, Constant(0.5), n, 50, _rng(3)).at(n)
+    l1 = np.abs(end).sum(axis=1)
+    assert np.all(l1 <= n) and np.all(l1 % 2 == 1)
 
 
 @pytest.mark.parametrize("n, samples", [(4_000_000, 1), (100_000, 2_000)])
