@@ -64,7 +64,6 @@ from .zigzag import (
 from .verify import (
     EstimatorResult,
     RecurrencePoint,
-    TestReport,
     VolkovResult,
     covariance_report,
     critical_limit_test,

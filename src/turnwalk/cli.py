@@ -12,8 +12,10 @@ Subcommands:
 
 Each verify experiment is one row of the ``_EXPERIMENTS`` table (flags,
 default ``--samples``, ``verify`` operation), which builds its parser and
-drives its dispatch.  ``verify`` builds and judges every report, and the
-exit code reads only the report's ``passed``.
+drives its dispatch.  Every operation returns a report dict of one shape,
+built and judged by ``verify``, which ends with its sub-checks (``checks``)
+and their verdict; the CLI writes it as is, and the exit code reads only
+its ``passed``.
 
 Artifacts are self-describing: CSV starts with a ``# config {...}`` comment
 line and JSON embeds a ``config`` object, so every file names the exact run
@@ -232,8 +234,6 @@ def _cmd_verify(args) -> int:
     flags = {flag: getattr(args, flag) for flag in required + optional}
     # looked up at call time, so a rebound module attribute is the one that runs
     report = getattr(verify, op)(**flags, samples=args.samples, seed=args.seed)
-    if isinstance(report, verify.TestReport):
-        report = report.to_json()
     _emit_json(report, args.out)
     return 0 if report["passed"] else 1
 

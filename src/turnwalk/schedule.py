@@ -45,6 +45,10 @@ __all__ = [
     "schedule_to_json",
 ]
 
+# Steps the table fallback of ``Schedule.hazard`` may hold: it peaks at
+# about 20 bytes a step while it builds, 2.7 GB at the cap
+_MAX_TABLE_STEPS = 1 << 27
+
 Prob = Union[int, float]  # fractions.Fraction also works; arithmetic is generic
 
 
@@ -91,9 +95,14 @@ class Schedule:
 
         This default tabulates nc from ``prefix_probs`` and finds each
         point's step by indexed search in a guide table (``_TableHazard``):
-        O(n) memory and O(1) expected probes per point.  ``Constant`` and
-        ``Critical`` override it with closed forms that need no O(n) memory.
+        O(n) memory and O(1) expected probes per point, so a horizon above
+        ``_MAX_TABLE_STEPS`` is refused before the table is built.
+        ``Constant`` and ``Critical`` override it with closed forms that need
+        no O(n) memory.
         """
+        if n > _MAX_TABLE_STEPS:
+            raise ValueError(f"the hazard table of a {self.kind} schedule holds at most "
+                             f"{_MAX_TABLE_STEPS} steps, got n = {n}")
         return _TableHazard(self.prefix_probs(n))
 
     def to_json(self) -> dict:

@@ -11,11 +11,15 @@ operations' streams never overlap and identical (seed, config) always
 produce bit-identical results.  KS and chi-square sub-checks run at level
 ``_ALPHA``.
 
-Every experiment scores named (observed, allowed) sub-checks by observed /
-allowed (``_ratio``: a zero allowance scores 0 on an exact match, else
-+inf), and every report ends with ``statistic`` (the largest score, a NaN
-one first), ``argmax`` (its sub-check's name, null if none) and ``passed``
-(statistic <= 1).  A bound is the one-sided sub-check ``bound``, observed
+Reports
+-------
+Every report is a dict built by ``_report``: ``op``, ``config``, the
+experiment's own fields, then ``checks``, its named sub-checks as
+[observed, allowed] in a fixed order, and the verdict read from them.  Each
+sub-check scores observed / allowed (``_ratio``: a zero allowance scores 0
+on an exact match, else +inf); ``statistic`` is the largest score (a NaN
+one first), ``argmax`` its sub-check's name (null if none) and ``passed``
+statistic <= 1.  A bound is the one-sided sub-check ``bound``, observed
 max(estimate - 4 se, 0), so it "holds" iff estimate - 4 se <= bound; an
 exact value is the two-sided ``expected``, observed |estimate - expected|
 against 4 se (``within_4se``).  For finite nonnegative observed and
@@ -26,7 +30,7 @@ allowed, so the scores agree with these flags bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,7 +42,6 @@ from .zigzag import b_from_a, sample_endpoints
 __all__ = [
     "STREAMS",
     "EstimatorResult",
-    "TestReport",
     "RecurrencePoint",
     "VolkovResult",
     "estimate_tail",
@@ -130,31 +133,6 @@ class EstimatorResult:
         return _builtin(asdict(self))
 
 
-@dataclass(frozen=True)
-class TestReport:
-    """Normalized test outcome: passes only if statistic <= threshold.
-
-    A NaN statistic compares false with everything, so it is rejected.
-    """
-
-    __test__ = False  # not a pytest class, despite the name
-
-    statistic: float
-    threshold: float
-    rejected: bool = field(init=False)  # third, as in the JSON key order
-    config: dict
-    details: dict = field(default_factory=dict)
-    argmax: str | None = None
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rejected", not self.statistic <= self.threshold)
-        object.__setattr__(self, "passed", not self.rejected)
-
-    def to_json(self) -> dict:
-        return _builtin(asdict(self))
-
-
 def _ratio(observed: float, allowed: float) -> float:
     """A sub-check's observed / allowed, by the rules in the module docstring."""
     if math.isnan(observed) or math.isnan(allowed):
@@ -164,17 +142,24 @@ def _ratio(observed: float, allowed: float) -> float:
     return observed / allowed
 
 
-def _judge(checks: dict) -> dict:
-    """statistic, argmax and passed of named (observed, allowed) sub-checks."""
+def _report(op: str, config: dict, checks: dict, **fields) -> dict:
+    """The one report builder: ``op``, ``config``, ``fields``, then the named
+    (observed, allowed) ``checks`` as given and their verdict (module
+    docstring)."""
     ratios = {name: _ratio(*check) for name, check in checks.items()}
     argmax = max(ratios, key=lambda k: (math.isnan(ratios[k]), ratios[k]), default=None)
     statistic = 0.0 if argmax is None else float(ratios[argmax])
-    return {"statistic": statistic, "argmax": argmax, "passed": statistic <= 1.0}
+    return {"op": op, "config": _builtin(config), **fields,
+            "checks": {name: list(check) for name, check in checks.items()},
+            "statistic": statistic, "argmax": argmax, "passed": statistic <= 1.0}
 
 
-def _agreement(result: EstimatorResult, expected: float) -> tuple:
-    """The two-sided sub-check: |estimate - expected| against 4 s.e."""
-    return abs(result.estimate - expected), 4.0 * result.std_error
+def _limit_report(op: str, config: dict, checks: dict, details: dict) -> dict:
+    """A limit test's report, which also holds ``statistic`` to a ``threshold``
+    of 1 and says whether it was ``rejected`` (not passed)."""
+    report = _report(op, config, checks, threshold=1.0, rejected=None, details=details)
+    report["rejected"] = not report["passed"]  # set in place, so it keeps its key slot
+    return report
 
 
 def _mean_estimator(sum_x: float, sum_x2: float, n: int, seed: int) -> EstimatorResult:
@@ -197,19 +182,17 @@ def envelope(op: str, config: dict, result: EstimatorResult,
     ``verdict`` "holds" or "violated", and an exact value the sub-check
     ``expected``, its flag ``within_4se``.
     """
-    out = {"op": op, "config": _builtin(config)}
-    out.update(result.to_json())
-    checks = {}
+    fields, checks = result.to_json(), {}
     if bound is not None:
-        out["bound"] = float(bound)
         # estimate first, so a NaN estimate is not clipped away
         checks["bound"] = (max(result.estimate - 4.0 * result.std_error, 0.0), bound)
-        out["verdict"] = "holds" if _ratio(*checks["bound"]) <= 1.0 else "violated"
+        fields["bound"] = float(bound)
+        fields["verdict"] = "holds" if _ratio(*checks["bound"]) <= 1.0 else "violated"
     if expected is not None:
-        out["expected"] = float(expected)
-        checks["expected"] = _agreement(result, expected)
-        out["within_4se"] = _ratio(*checks["expected"]) <= 1.0
-    return {**out, **_judge(checks)}
+        checks["expected"] = (abs(result.estimate - expected), 4.0 * result.std_error)
+        fields["expected"] = float(expected)
+        fields["within_4se"] = _ratio(*checks["expected"]) <= 1.0
+    return _report(op, config, checks, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +394,7 @@ def covariance_report(schedule: Schedule, i: int, j: int, samples: int,
 
 
 def scaling_limit_test(d: int, p: float, n: int, samples: int,
-                       seed: int = 0) -> TestReport:
+                       seed: int = 0) -> dict:
     """Endpoint normality check under diffusive rescaling.
 
     Each coordinate of S_n is scaled by sqrt(d p / (2-p)) / sqrt(n), which
@@ -460,12 +443,11 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int,
         "variance_band": [0.96, 1.04],
         "cross_covariances": cross,
     }
-    verdict = _judge(checks)
-    return TestReport(verdict["statistic"], 1.0, config, details, verdict["argmax"])
+    return _limit_report("scaling", config, checks, details)
 
 
 def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
-                        seed: int = 0) -> TestReport:
+                        seed: int = 0) -> dict:
     """Critical-regime comparison of the walk with the zigzag process.
 
     Two legs, windowed to (delta n, n] on the walk side and (delta, 1] on
@@ -533,8 +515,7 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
         "ks_norm": ks_norm,
         "ks_threshold": ks_thresh,
     }
-    verdict = _judge(checks)
-    return TestReport(verdict["statistic"], 1.0, config, details, verdict["argmax"])
+    return _limit_report("critical", config, checks, details)
 
 
 @dataclass(frozen=True)
@@ -588,8 +569,7 @@ def recurrence_report(d: int, schedule: Schedule, horizons, samples: int,
     points = recurrence_experiment(d, schedule, horizons, samples, seed=seed)
     config = {"d": d, "schedule": schedule.to_json(), "horizons": horizons,
               "samples": samples, "seed": seed}
-    return {"op": "recurrence", "config": config,
-            "points": [pt.to_json() for pt in points], **_judge({})}
+    return _report("recurrence", config, {}, points=[pt.to_json() for pt in points])
 
 
 @dataclass(frozen=True)
@@ -699,18 +679,17 @@ def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
 def volkov_report(p: float, i: int, j: int, samples: int, horizon: int | None = None,
                   seed: int = 0) -> dict:
     """volkov_bc_experiment judged against the pass-once probabilities: an
-    envelope per half, and the sub-checks ``single`` and ``joint`` on top."""
+    envelope per half, and on top the sub-checks ``single`` and ``joint``,
+    each its half's ``expected``."""
     result = volkov_bc_experiment(p, i, j, samples, horizon=horizon, seed=seed)
     exp_single, _ = gambler_pass_once(p, math.inf)
     _, exp_joint = gambler_pass_once(p, j - i)
     config = {"p": p, "i": i, "j": j, "samples": samples, "seed": seed,
               "horizon": result.horizon, "certified_error": result.certified_error}
-    checks = {"single": _agreement(result.single, exp_single),
-              "joint": _agreement(result.joint, exp_joint)}
-    return {"op": "volkov", "config": config,
-            "single": envelope("volkov_single", config, result.single, expected=exp_single),
-            "joint": envelope("volkov_joint", config, result.joint, expected=exp_joint),
-            **_judge(checks)}
+    single = envelope("volkov_single", config, result.single, expected=exp_single)
+    joint = envelope("volkov_joint", config, result.joint, expected=exp_joint)
+    checks = {"single": single["checks"]["expected"], "joint": joint["checks"]["expected"]}
+    return _report("volkov", config, checks, single=single, joint=joint)
 
 
 def moment4_experiment(p: float, n: int, samples: int, seed: int = 0) -> EstimatorResult:

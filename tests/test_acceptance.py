@@ -94,9 +94,9 @@ def test_c04_tail_bounds():
 def test_c05_scaling_limit():
     t0 = time.perf_counter()
     rep = verify.scaling_limit_test(2, 0.5, 100_000, 10_000, seed=0)
-    det = rep.details
-    assert not rep.rejected
-    assert rep.statistic <= rep.threshold
+    det = rep["details"]
+    assert not rep["rejected"]
+    assert rep["statistic"] <= rep["threshold"]
     for ks in det["ks_per_coordinate"]:
         assert ks < det["ks_threshold"]
     for v in det["variances"]:
@@ -107,8 +107,8 @@ def test_c05_scaling_limit():
 def test_c06_critical_regime():
     t0 = time.perf_counter()
     rep = verify.critical_limit_test(2, 1.0, 100_000, 100_000, 0.1, seed=0)
-    det = rep.details
-    assert not rep.rejected
+    det = rep["details"]
+    assert not rep["rejected"]
     assert det["b"] == 0.75
     lam = 0.75 * math.log(10.0)
     assert abs(det["turn_count_mean"] - lam) <= 4 * det["turn_count_se"]

@@ -14,7 +14,7 @@ import pytest
 
 from turnwalk import analytics, cli, verify, walk
 from turnwalk.schedule import PowerDecay
-from turnwalk.verify import EstimatorResult, TestReport, VolkovResult
+from turnwalk.verify import EstimatorResult, VolkovResult
 
 CONST_HALF = '{"kind": "Constant", "p": 0.5}'
 CRITICAL_1 = '{"kind": "Critical", "a": 1}'
@@ -479,7 +479,7 @@ def test_verify_violated_verdict_exit_1(capsys, monkeypatch):
 
 def test_verify_rejected_report_exit_1(capsys, monkeypatch):
     def fake_scaling(*args, **kwargs):
-        return TestReport(2.0, 1.0, {"d": 2})
+        return verify._limit_report("scaling", {"d": 2}, {"ks[0]": (2.0, 1.0)}, {})
 
     monkeypatch.setattr(verify, "scaling_limit_test", fake_scaling)
     rc, out, _ = _run(capsys, ["verify", "scaling", "--d", "2", "--p", "0.5",
@@ -629,6 +629,54 @@ def test_verify_recurrence_is_informational(capsys):
     assert (blob["statistic"], blob["argmax"], blob["passed"]) == (0.0, None, True)
 
 
+def _assert_one_report_shape(report, op):
+    """``report`` is the one builder's shape, its verdict read from its ``checks``."""
+    assert report["op"] == op
+    assert list(report)[-4:] == ["checks", "statistic", "argmax", "passed"]
+    ratios = {name: verify._ratio(*(math.nan if v is None else v for v in check))
+              for name, check in report["checks"].items()}
+    nans = [name for name, ratio in ratios.items() if math.isnan(ratio)]
+    if nans:
+        argmax = nans[0]
+    else:
+        argmax = next((name for name, ratio in ratios.items()
+                       if ratio == max(ratios.values())), None)
+    statistic = 0.0 if argmax is None else ratios[argmax]
+    assert report["argmax"] == argmax
+    assert report["statistic"] == verify._builtin(statistic)  # null when not finite
+    assert report["passed"] is (statistic <= 1)
+
+
+@pytest.mark.parametrize("exp", sorted(cli._EXPERIMENTS))
+def test_verify_reports_have_one_shape(capsys, exp):
+    rc, out, _ = _run(capsys, ["verify", exp, *_VERIFY_ARGS[exp], "--samples", "500"])
+    report = _strict_json(out)
+    assert rc == (0 if report["passed"] else 1)
+    _assert_one_report_shape(report, exp)
+    if exp == "volkov":
+        for half in ("single", "joint"):
+            _assert_one_report_shape(report[half], f"volkov_{half}")
+            assert report["checks"][half] == report[half]["checks"]["expected"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "recurrence", "--d", "1", "--schedule", POWER_DECAY,
+     "--horizons", "1000000000000", "--samples", "10"],
+    ["simulate", "--d", "1", "--schedule", POWER_DECAY, "--n", "1000000000000",
+     "--sampler", "events"],
+])
+def test_huge_table_horizon_exit_2_without_allocating(capsys, monkeypatch, argv):
+    # these used to ask for a 7.28 TiB hazard table: MemoryError, exit 3
+    def no_table(self, n):
+        raise AssertionError(f"prefix_probs({n}) called")
+    monkeypatch.setattr(PowerDecay, "prefix_probs", no_table)
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "n = 1000000000000" in err
+    assert str(1 << 27) in err
+
+
 @pytest.mark.parametrize("exp", sorted(_VERIFY_ARGS))
 def test_verify_zero_samples_exit_2(capsys, exp):
     rc, out, err = _run(capsys, ["verify", exp, *_VERIFY_ARGS[exp],
@@ -739,12 +787,13 @@ def test_verify_scaling_zero_se_is_a_verdict(capsys):
 
 
 def test_json_output_is_strict(capsys):
-    report = TestReport(statistic=math.inf, threshold=1.0,
-                        config={"x": math.nan}, details={"v": [1.0, -math.inf]})
-    cli._emit_json(report.to_json(), None)
+    report = verify._limit_report("demo", {"x": math.nan}, {"c": (math.inf, 1.0)},
+                                  {"v": [1.0, -math.inf]})
+    cli._emit_json(report, None)
     out = _strict_json(capsys.readouterr().out)
     assert out["statistic"] is None and out["rejected"] is True
     assert out["config"] == {"x": None} and out["details"] == {"v": [1.0, None]}
+    assert out["checks"] == {"c": [None, 1.0]}
 
 
 def test_nonpositive_dimension_exit_2(capsys):

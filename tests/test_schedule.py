@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from turnwalk import schedule as schedule_module
 from turnwalk.schedule import (
     Constant,
     Critical,
@@ -214,6 +215,21 @@ def test_table_hazard_memory():
     assert hz.at(n) > 0
     assert peak <= 24e6
     assert kept <= 12 * n + 2 ** 16
+
+
+@pytest.mark.parametrize("schedule", [PowerDecay(1.0, 0.7), Periodic([0.5, 0.1]),
+                                      Explicit([0.2, 0.3])])
+def test_table_hazard_refuses_horizons_past_its_cap(monkeypatch, schedule):
+    # refused before prefix_probs builds the table; the cap clears every
+    # table horizon in use (10^6 at most)
+    def no_table(self, n):
+        raise AssertionError(f"prefix_probs({n}) called")
+    monkeypatch.setattr(type(schedule), "prefix_probs", no_table)
+    cap = schedule_module._MAX_TABLE_STEPS
+    assert cap > 10 ** 6
+    for n in (cap + 1, 10 ** 12):
+        with pytest.raises(ValueError, match=f"at most {cap} steps, got n = {n}"):
+            schedule.hazard(n)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided rows"])

@@ -9,7 +9,7 @@ from scipy import special, stats as sps
 
 from turnwalk import analytics, verify, zigzag
 from turnwalk.schedule import Constant, Critical, PowerDecay
-from turnwalk.verify import (EstimatorResult, TestReport, envelope, ks_critical,
+from turnwalk.verify import (EstimatorResult, envelope, ks_critical,
                              ks_one_sample_normal, ks_two_sample, poisson_gof,
                              stream_rng)
 
@@ -53,14 +53,18 @@ def test_estimator_result_validation_and_json():
 
 def test_report_rejected_flag():
     cfg = {"x": 1}
-    assert TestReport(1.2, 1.0, cfg).rejected
-    assert not TestReport(1.0, 1.0, cfg).rejected
-    assert not TestReport(0.3, 1.0, cfg).rejected
-    assert TestReport(math.nan, 1.0, cfg).rejected
-    blob = TestReport(0.3, 1.0, cfg, {"note": []}).to_json()
-    assert list(blob) == ["statistic", "threshold", "rejected", "config", "details",
-                          "argmax", "passed"]
-    assert blob["argmax"] is None and blob["passed"] is True
+
+    def limit(observed, details=None):
+        return verify._limit_report("demo", cfg, {"c": (observed, 1.0)}, details or {})
+    assert limit(1.2)["rejected"]
+    assert not limit(1.0)["rejected"]
+    assert not limit(0.3)["rejected"]
+    assert limit(math.nan)["rejected"]
+    blob = limit(0.3, {"note": []})
+    assert list(blob) == ["op", "config", "threshold", "rejected", "details", "checks",
+                          "statistic", "argmax", "passed"]
+    assert blob["threshold"] == 1.0 and blob["details"] == {"note": []}
+    assert blob["argmax"] == "c" and blob["passed"] is True
     json.dumps(blob)
 
 
@@ -69,7 +73,7 @@ def test_envelope_verdicts_and_key_order():
     env = envelope("demo", {"p": 0.5}, r, bound=0.46)
     assert list(env) == ["op", "config", "estimate", "std_error", "n_samples",
                          "ci95", "seed", "bound", "verdict",
-                         "statistic", "argmax", "passed"]
+                         "checks", "statistic", "argmax", "passed"]
     assert env["verdict"] == "holds"  # 0.5 - 0.04 = 0.46 <= 0.46
     assert env["argmax"] == "bound" and env["passed"] is True
     env = envelope("demo", {"p": 0.5}, r, bound=0.459)
@@ -84,14 +88,15 @@ def test_envelope_agreement_flag_and_key_order():
     env = envelope("demo", {"p": 0.5}, r, expected=1.0)
     assert list(env) == ["op", "config", "estimate", "std_error", "n_samples",
                          "ci95", "seed", "expected", "within_4se",
-                         "statistic", "argmax", "passed"]
+                         "checks", "statistic", "argmax", "passed"]
     assert env["expected"] == 1.0 and env["within_4se"] is True
     assert envelope("demo", {}, r, expected=0.0)["within_4se"] is True
     assert envelope("demo", {}, r, expected=1.0 + 1e-9)["within_4se"] is False
     assert envelope("demo", {}, r, expected=-0.25)["within_4se"] is False
     both = envelope("demo", {}, r, bound=0.0, expected=0.5)
-    assert list(both)[-7:] == ["bound", "verdict", "expected", "within_4se",
-                               "statistic", "argmax", "passed"]
+    assert list(both)[-8:] == ["bound", "verdict", "expected", "within_4se",
+                               "checks", "statistic", "argmax", "passed"]
+    assert both["checks"] == {"bound": [0.0, 0.0], "expected": [0.0, 0.5]}
     nan = EstimatorResult(math.nan, 0.125, 1000, (0.0, 1.0), 3)
     assert envelope("demo", {}, nan, expected=0.5)["within_4se"] is False
     json.dumps(env)
@@ -139,7 +144,11 @@ def test_expected_subcheck_is_exactly_the_two_sided_rule(e, s, x):
 
 
 def test_judge_names_the_largest_subcheck_and_nan_wins():
-    judge = verify._judge
+    def judge(checks):
+        report = verify._report("demo", {}, checks)
+        assert report["checks"] == {name: list(check) for name, check in checks.items()}
+        return {key: report[key] for key in ("statistic", "argmax", "passed")}
+
     assert judge({}) == {"statistic": 0.0, "argmax": None, "passed": True}
     assert judge({"a": (1.0, 2.0), "b": (3.0, 2.0), "c": (3.0, 2.0)}) == {
         "statistic": 1.5, "argmax": "b", "passed": False}
@@ -205,7 +214,7 @@ def test_critical_limit_test_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.passed
+    assert report["passed"]
     assert peak <= 26e6
 
 
@@ -255,11 +264,10 @@ def test_subcheck_ratio_zero_allowance_and_nan():
     # with nothing allowed, only an exact match passes
     assert verify._ratio(0.0, 0.0) == 0.0
     assert verify._ratio(1e-300, 0.0) == math.inf
-    assert TestReport(verify._ratio(1e-300, 0.0), 1.0, {}).rejected
+    assert not verify._report("demo", {}, {"c": (1e-300, 0.0)})["passed"]
     for observed, allowed in ((math.nan, 0.0), (math.nan, 1.0), (0.5, math.nan)):
-        ratio = verify._ratio(observed, allowed)
-        assert math.isnan(ratio)
-        assert TestReport(ratio, 1.0, {}).rejected
+        assert math.isnan(verify._ratio(observed, allowed))
+        assert not verify._report("demo", {}, {"c": (observed, allowed)})["passed"]
 
 
 # --- simulation-backed estimators ---
@@ -387,24 +395,24 @@ def test_shard_counts_consistent_law():
 
 def test_scaling_report_structure():
     rep = verify.scaling_limit_test(2, 0.5, 1_000, 3_000, seed=7)
-    assert isinstance(rep, TestReport)
-    assert rep.threshold == 1.0
-    assert rep.config["n"] == 1_000
-    det = rep.details
+    assert rep["op"] == "scaling"
+    assert rep["threshold"] == 1.0
+    assert rep["config"]["n"] == 1_000
+    det = rep["details"]
     assert len(det["ks_per_coordinate"]) == 2
     assert det["lattice_allowance"] > 0
     assert det["variance_band"] == [0.96, 1.04]
     assert len(det["cross_covariances"]) == 1
     assert det["cross_covariances"][0]["axes"] == [0, 1]
-    json.dumps(rep.to_json())
+    json.dumps(rep)
 
 
 def test_scaling_zero_se_cross_covariance_is_a_verdict():
     # at p = 1 the two sampled cross products are equal, so their s.e. is 0
     rep = verify.scaling_limit_test(2, 1.0, 1_000, 2, seed=11)
-    assert rep.details["cross_covariances"][0]["std_error"] == 0.0
-    assert rep.rejected
-    json.dumps(rep.to_json(), allow_nan=False)
+    assert rep["details"]["cross_covariances"][0]["std_error"] == 0.0
+    assert rep["rejected"]
+    json.dumps(verify._builtin(rep), allow_nan=False)
 
 
 def test_scaling_preconditions():
@@ -422,28 +430,29 @@ def test_scaling_ks_shrinks_with_horizon():
     means = []
     for n in (10 ** 3, 10 ** 4, 10 ** 5):
         rep = verify.scaling_limit_test(2, 0.5, n, 1_000_000, seed=0)
-        means.append(float(np.mean(rep.details["ks_per_coordinate"])))
+        means.append(float(np.mean(rep["details"]["ks_per_coordinate"])))
     assert means[0] > means[1] > means[2]
 
 
 def test_nan_subcheck_rejects_scaling(monkeypatch):
     monkeypatch.setattr(verify, "ks_one_sample_normal", lambda values: math.nan)
     rep = verify.scaling_limit_test(2, 0.5, 1_000, 2_000, seed=7)
-    assert math.isnan(rep.statistic)
-    assert rep.rejected
+    assert math.isnan(rep["statistic"])
+    assert rep["rejected"]
 
 
 def test_nan_subcheck_rejects_critical(monkeypatch):
     # the KS sub-checks come after finite ones, so Python's max would drop their NaN
     monkeypatch.setattr(verify, "ks_two_sample", lambda x, y: math.nan)
     rep = verify.critical_limit_test(2, 1.0, 10_000, 2_000, 0.1, seed=9)
-    assert math.isnan(rep.statistic)
-    assert rep.rejected
+    assert math.isnan(rep["statistic"])
+    assert rep["rejected"]
 
 
 def test_critical_report_structure():
     rep = verify.critical_limit_test(2, 1.0, 10_000, 2_000, 0.1, seed=9)
-    det = rep.details
+    assert rep["op"] == "critical"
+    det = rep["details"]
     assert det["b"] == pytest.approx(0.75)
     assert det["poisson_mean"] == pytest.approx(0.75 * math.log(10))
     for key in ("turn_count_mean", "turn_count_se", "chi2_statistic",
@@ -452,7 +461,7 @@ def test_critical_report_structure():
     # the walks start at step floor(delta n), so no whole-path comparison
     assert "ks_norm_untruncated_info" not in det
     assert len(det["ks_per_coordinate"]) == 2
-    json.dumps(rep.to_json())
+    json.dumps(rep)
 
 
 def test_critical_walks_start_at_the_window(monkeypatch):
