@@ -403,7 +403,7 @@ class _ConstantHazard(_ForcedSpan):
             gaps /= self._h
             np.floor(gaps, out=gaps)
             np.cumsum(gaps, axis=1, out=gaps)
-        gaps += start + np.arange(1, shape[1] + 1)
+        gaps += start + np.arange(1.0, shape[1] + 1)  # float64 like gaps: no cast
         # the cap precedes any cast to the engine's integer steps: a gap
         # past hi, even an infinite one, becomes hi + 1
         np.minimum(gaps, hi + 1, out=gaps)

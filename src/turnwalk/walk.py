@@ -89,6 +89,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -250,14 +251,23 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"d must be >= 1, got {d}")
 
 
+def _lattice_point(name, point, d):
+    """``point`` as d Python ints; a float coordinate, even a whole one, is refused."""
+    coords = []
+    for x in point:
+        try:
+            coords.append(operator.index(x))
+        except TypeError:
+            raise ValueError(f"{name} coordinate {x!r} is not an integer") from None
+    if len(coords) != d:
+        raise ValueError(f"{name} has {len(coords)} coordinates, expected {d}")
+    return tuple(coords)
+
+
 def initial_state(d: int, start: Sequence[int] | None = None) -> WalkState:
     _check_dimension(d)
-    if start is None:
-        start = (0,) * d
-    start = tuple(int(x) for x in start)
-    if len(start) != d:
-        raise ValueError(f"start has {len(start)} coordinates, expected {d}")
-    return WalkState(start, None, 0)
+    return WalkState(_lattice_point("start", (0,) * d if start is None else start, d),
+                     None, 0)
 
 
 def _draw_direction(d: int, rng: np.random.Generator) -> Direction:
@@ -336,9 +346,7 @@ def visits(path: Path, target: Sequence[int]) -> int:
     and can contain the target at most once, so the count needs one O(d)
     check per event rather than a full replay.
     """
-    target = tuple(int(x) for x in target)
-    if len(target) != path.d:
-        raise ValueError(f"target has {len(target)} coordinates, expected {path.d}")
+    target = _lattice_point("target", target, path.d)
     count = 0
     for t0, t1, direction, before in path.segments():
         delta = [t - x for t, x in zip(target, before)]
@@ -592,9 +600,7 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
         raise ValueError("n must be positive")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
-    target = (0,) * d if target is None else tuple(int(x) for x in target)
-    if len(target) != d:
-        raise ValueError(f"target has {len(target)} coordinates, expected {d}")
+    target = _lattice_point("target", (0,) * d if target is None else target, d)
     horizons = (n,) if horizons is None else tuple(sorted(set(int(h) for h in horizons)))
     if not horizons:
         raise ValueError("horizons must be nonempty")
@@ -612,11 +618,16 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     for _lo, _hi, rows, starts, length, dirs in _runs(
             d, schedule.hazard(n), n, samples, rng):
         axis = dirs >> 1
-        signed = np.where(dirs & 1, -length, length)
-        # q[c]: position - target before each run, an exclusive per-row
-        # cumsum from the carried one
-        q = np.empty((d,) + dirs.shape, dtype=dtype)
-        for c, qc in enumerate(q):
+        # each run's signed length, length (1 - 2 (code & 1)), in dtype
+        signed = (dirs & 1).astype(dtype)
+        signed <<= 1
+        np.subtract(1, signed, out=signed)
+        signed *= length
+        # q[..., c]: position - target before each run, an exclusive per-row
+        # cumsum from the carried one.  Coordinates are innermost: numpy
+        # accumulates a strided row several times faster than a contiguous one.
+        q = np.empty(dirs.shape + (d,), dtype=dtype)
+        for c, qc in enumerate(np.moveaxis(q, -1, 0)):
             qc[:, 0] = rel[rows, c]
             np.multiply(signed[:, :-1], axis[:, :-1] == c, out=qc[:, 1:])
             np.cumsum(qc, axis=1, out=qc)
@@ -624,11 +635,13 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
         del axis, signed
         # the run hits iff the target lies ahead on its axis, within its
         # length: then the L1 distance equals the signed on-axis offset
-        dist = np.abs(q).sum(axis=0, dtype=q.dtype)
+        dist = np.abs(q[..., 0])
+        for c in range(1, d):
+            dist += np.abs(q[..., c])
         cand = np.flatnonzero(dist <= length)
         row, col = np.divmod(cand, length.shape[1])
         code = dirs.ravel()[cand]
-        offset = q[code >> 1, row, col]
+        offset = q[row, col, code >> 1]
         ahead = np.where(code & 1, offset, -offset)
         hit = (ahead == dist.ravel()[cand]) & (ahead >= 1)
         row, col, ahead = row[hit], col[hit], ahead[hit]

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -682,6 +683,56 @@ def test_run_engine_pinned_digest():
     }
 
 
+def test_visit_stats_pinned_digest():
+    # visit counts and late flags at every horizon, for d = 1, 2, 3 and a
+    # nonzero target, hashed per case: constant-rate gaps over several blocks
+    # with top-ups (no spare gaps drawn), Poisson placement over several
+    # segments, the engine's int64 steps at 2^40, and the observer's int64
+    # offsets for a target past 2^31, reachable ("far") or not ("wrap")
+    cases = {
+        "constant": (Constant(0.5), 3_000, 600, (10, 100, 1_000, 3_000), (2, -1, 1),
+                     walk._BLOCK_CELLS, 0.0),
+        "power": (PowerDecay(1.0, 0.7), 100_000, 100, (1_000, 30_000, 100_000),
+                  (1, 1, -1), 64, 6.0),
+        "critical": (Critical(1.0), 2 ** 40, 2_000, (2 ** 10, 2 ** 20, 2 ** 30, 2 ** 40),
+                     (3, -2, 1), walk._BLOCK_CELLS, 6.0),
+        "far": (Constant(1e-10), 2 ** 36, 500, (2 ** 32, 2 ** 34, 2 ** 36),
+                (2 ** 32 + 1, 0, 0), walk._BLOCK_CELLS, 6.0),
+        "wrap": (Constant(0.5), 2_000, 300, (1_000, 2_000), (2 ** 32 + 1, 0, 0),
+                 walk._BLOCK_CELLS, 6.0),
+    }
+    digests = {}
+    for k, (name, (schedule, n, samples, horizons, target, cells, sigmas)) in \
+            enumerate(cases.items()):
+        h = hashlib.sha256()
+        for d in (1, 2, 3):
+            with mock.patch.object(walk, "_BLOCK_CELLS", cells), \
+                    mock.patch("turnwalk.schedule._GAP_SIGMAS", sigmas):
+                stats = walk.sample_visit_stats(d, schedule, n, samples,
+                                                _rng(400 + 10 * k + d),
+                                                target=target[:d], horizons=horizons)
+            for t in horizons:
+                h.update(stats.counts[t].tobytes() + stats.late[t].tobytes())
+            if name == "wrap":  # 2^32 + 1 is past any path of n steps
+                assert not any(stats.counts[t].any() for t in horizons)
+        digests[name] = h.hexdigest()
+    # the cases reach what they pin: blocks and top-ups, then segments
+    hz = Constant(0.5).hazard(3_000)
+    with mock.patch("turnwalk.schedule._GAP_SIGMAS", 0.0):
+        blocks = list(hz.redraws(0, 3_000, 600, walk._BLOCK_CELLS, _rng(0)))
+        assert len(blocks) >= 3
+        assert any(steps.shape[1] > hz._gap_width(2_999) for _, steps, _ in blocks)
+    with mock.patch.object(walk, "_BLOCK_CELLS", 64):
+        assert len(walk._segments(PowerDecay(1.0, 0.7).hazard(100_000), 100_000)) >= 3
+    assert digests == {
+        "constant": "d80c20236d2c24f62fcc429ee88053640991d56a563cb2caa6cc915a37414ebc",
+        "power": "298236a28f1e795402440d1c4fac5b27c22c8ecedb194a82d1bb92ef094abdb4",
+        "critical": "5351be20e550b7927c73277102a08634cde69226f095608ff41caa516ffbdaa5",
+        "far": "afbbf69df6ae4b05a0b43662b77078677c4137e64894c6932a8215309c14805d",
+        "wrap": "9dd76d9311e87123c936ab0d956e9ead34dae3fb68beb075b6ee6fee9b08d9e0",
+    }
+
+
 @pytest.mark.parametrize("case, cells, grouped", [
     pytest.param(case, cells, grouped, id=f"{'group-' * grouped}{case}-{cells}")
     for case, cells, grouped in [(0, None, False), (1, None, False), (0, 4, False),
@@ -715,25 +766,29 @@ _SCHEDULES = st.one_of(
 )
 
 
-def _replay_runs(d, samples, blocks, times, window):
-    """Snapshots at ``times`` and direction changes in ``window`` of the
-    recorded ``(lo, hi, rows, length, dirs)`` blocks, replayed step by step."""
+def _replay_runs(d, samples, blocks, times, window, target=None):
+    """Snapshots at ``times``, direction changes in ``window`` and, per path,
+    the steps t >= 1 with S_t == ``target``, of the recorded
+    ``(lo, hi, rows, length, dirs)`` blocks, replayed step by step."""
     pos = np.zeros((samples, d), dtype=np.int64)
     snaps = {t: np.zeros((samples, d), dtype=np.int64) for t in times}
     changes = np.zeros(samples, dtype=np.int64)
+    hits = [[] for _ in range(samples)]
     for lo, hi, rows, length, dirs in blocks:
         for path, lengths, codes in zip(rows.tolist(), length.tolist(), dirs.tolist()):
             heading = [codes[0]]  # at step lo: the carried run's
             for steps, code in zip(lengths, codes):
                 heading += [code] * steps
             assert len(heading) == hi - lo + 1
-            for code in heading[1:]:
+            for t, code in enumerate(heading[1:], start=lo + 1):
                 pos[path, code >> 1] += -1 if code & 1 else 1
+                if tuple(pos[path].tolist()) == target:
+                    hits[path].append(t)
             if window[0] <= lo and hi <= window[1]:
                 changes[path] += sum(a != b for a, b in zip(heading, heading[1:]))
             if hi in snaps:
                 snaps[hi][path] = pos[path]
-    return snaps, changes
+    return snaps, changes, hits
 
 
 @settings(max_examples=60, deadline=None)
@@ -763,10 +818,24 @@ def test_simulate_events_times_increase_from_one(schedule, d, n, seed, cells, si
             mock.patch.object(walk, "_runs", recorded):
         out = walk.sample_positions(d, schedule, n, 2 * size, _rng(seed), times=times,
                                     count_changes_in=window, first=first)
-    snaps, changes = _replay_runs(d, 2 * size, blocks, times, window)
+    snaps, changes, _ = _replay_runs(d, 2 * size, blocks, times, window)
     for t in times:
         assert np.array_equal(out.at(t), snaps[t])
     assert np.array_equal(out.change_counts, changes)
+    # sample_visit_stats: the counts and late flags of a drawn target at
+    # drawn horizons are those of a replay of the very runs it read
+    target = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+    horizons = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=3))
+    blocks.clear()
+    with mock.patch.object(walk, "_BLOCK_CELLS", cells), \
+            mock.patch.object(walk, "_runs", recorded):
+        stats = walk.sample_visit_stats(d, schedule, n, 2 * size, _rng(seed),
+                                        target=target, horizons=horizons)
+    *_, hits = _replay_runs(d, 2 * size, blocks, (), (n + 1, n), target)
+    for h in horizons:
+        assert stats.counts[h].tolist() == [sum(t <= h for t in own) for own in hits]
+        assert stats.late[h].tolist() == [any(h // 2 < t <= h for t in own)
+                                          for own in hits]
     p = schedule.prefix_probs(n)
     for path in [path, *group]:
         times = [ev.update_time for ev in path.events]
@@ -1023,6 +1092,34 @@ def test_initial_state_validation():
     assert walk.initial_state(3).position == (0, 0, 0)
     with pytest.raises(ValueError):
         walk.initial_state(2, start=(1, 2, 3))
+
+
+@pytest.mark.parametrize("bad", [1.9, 0.7, float("inf"), float("nan"), 2.0,
+                                 np.float64(1.0), "1"])
+def test_non_integer_coordinates_are_refused(bad):
+    # refused by name, never truncated (1.9 to 1, 0.7 to 0) or overflowed (inf)
+    rng = _rng(92)
+    message = f"coordinate {re.escape(repr(bad))} is not an integer"
+    with pytest.raises(ValueError, match="target " + message):
+        walk.sample_visit_stats(2, Constant(0.5), 5, 3, rng, target=(0, bad))
+    with pytest.raises(ValueError, match="target " + message):
+        walk.visits(Path((0,), (), 0), (bad,))
+    for sampler in (walk.simulate, walk.simulate_events):
+        with pytest.raises(ValueError, match="start " + message):
+            sampler(1, Constant(0.5), 5, rng, start=(bad,))
+    with pytest.raises(ValueError, match="start " + message):
+        walk.initial_state(2, start=(bad, 0))
+
+
+def test_numpy_integer_coordinates_pass():
+    start = walk.initial_state(2, start=(np.int64(3), np.int8(-1))).position
+    assert start == (3, -1) and all(type(x) is int for x in start)
+    assert walk.visits(Path((0,), (), 0), np.array([2])) == 0
+    stats = walk.sample_visit_stats(2, Constant(0.0), 4, 40, _rng(93),
+                                    target=np.array([0, 2], dtype=np.uint8))
+    # a straight walk of 4 steps stands on (0, 2) once, at step 2, iff it
+    # heads +y: about a quarter of the paths
+    assert set(stats.counts[4].tolist()) == {0, 1}
 
 
 def test_path_csv_exports():
