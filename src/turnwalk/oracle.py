@@ -135,13 +135,14 @@ def exact_distribution(d: int, schedule: Schedule, n: int, cap: int = 20,
             new[(idx,) + dst] = (1.0 - p) * mass[(idx,) + src] + (p / (2 * d)) * total[src]
         mass = new
 
+    # nonzero cells per direction in C order, converted in bulk
     entries = {}
     for idx in range(2 * d):
         direction = Direction.from_index(idx)
-        nz = np.argwhere(mass[idx] > 0.0)
-        for cell in nz:
-            pos = tuple(int(c) - n for c in cell)
-            entries[(pos, direction)] = float(mass[(idx,) + tuple(cell)])
+        cells = np.nonzero(mass[idx] > 0.0)
+        positions = map(tuple, (np.stack(cells, axis=1) - n).tolist())
+        entries.update(zip(((pos, direction) for pos in positions),
+                           mass[idx][cells].tolist()))
     return ExactDistribution(d=d, horizon=n, entries=entries, rational=False)
 
 

@@ -24,6 +24,9 @@ engine is the run engine below; its per-step engine is the batched
 reference, the generator ``_headings`` of every path's direction code
 after each step, read by ``sample_positions(method="step")`` (unit steps,
 code changes) and ``verify.estimate_covariance`` (codes at two steps).
+Code c steps by 1 - 2 (c & 1) along axis c >> 1; ``sample_positions``
+keeps its positions coordinate-major and moves them by this sign
+arithmetic, one coordinate row at a time, not by gathering unit steps.
 
 A statistic that reads only steps first + 1..n need not simulate the steps
 before them.  The heading's law is uniform at every step, whatever the
@@ -79,8 +82,9 @@ carrying its heading; snapshot times and change-window bounds also end
 segments.  The engine draws runs and nothing else; each observer does its
 own arithmetic on them.  ``sample_positions`` carries each path's
 position, summed per block by one bincount of run lengths by (path,
-direction), so a snapshot is a carried position, and counts direction
-changes between consecutive nonzero-length runs; ``sample_visit_stats``
+direction) and added row by row, one 1-D gather per coordinate, so a
+snapshot is a carried position; it counts direction changes between
+consecutive nonzero-length runs; ``sample_visit_stats``
 carries each path's position relative to its target and finds the target
 hits run by run; ``_event_paths`` reads each path's redraw events.
 """
@@ -251,14 +255,17 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"d must be >= 1, got {d}")
 
 
+def _integer(name, x):
+    """``x`` as a Python int; a float, even a whole one, is refused."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} {x!r} is not an integer") from None
+
+
 def _lattice_point(name, point, d):
     """``point`` as d Python ints; a float coordinate, even a whole one, is refused."""
-    coords = []
-    for x in point:
-        try:
-            coords.append(operator.index(x))
-        except TypeError:
-            raise ValueError(f"{name} coordinate {x!r} is not an integer") from None
+    coords = [_integer(f"{name} coordinate", x) for x in point]
     if len(coords) != d:
         raise ValueError(f"{name} has {len(coords)} coordinates, expected {d}")
     return tuple(coords)
@@ -405,7 +412,9 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
     displacements S_t - S_first.  The heading is uniform at every step, so
     this window has exactly the law of steps first + 1..n of a whole path
     (module docstring).  Snapshot times must lie in [first, n], and a
-    change window in [max(first, 1), n].
+    change window in [max(first, 1), n].  Times, window bounds and
+    ``first`` are step numbers: Python or numpy integers; a float, even a
+    whole one, is a ValueError.
 
     With "events", a ``Constant`` schedule, only the horizon requested, no
     change window and ``first`` 0, the endpoints come from the composition
@@ -418,15 +427,16 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
         raise ValueError("n must be nonnegative")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
-    if times is None:
-        times = (n,)
-    times = tuple(sorted(set(int(t) for t in times)))
+    times = tuple(sorted({_integer("snapshot time", t)
+                          for t in ((n,) if times is None else times)}))
+    first = _integer("first", first)
     if not 0 <= first <= n:
         raise ValueError(f"first must lie in [0, {n}], got {first}")
     if times and (times[0] < first or times[-1] > n):
         raise ValueError(f"snapshot times must lie in [{first}, {n}]")
     if count_changes_in is not None:
-        lo, hi = count_changes_in
+        lo, hi = count_changes_in = tuple(_integer("count_changes_in bound", t)
+                                          for t in count_changes_in)
         if not (max(first, 1) <= lo <= hi <= n):
             raise ValueError(f"count_changes_in must satisfy "
                              f"{max(first, 1)} <= lo <= hi <= n")
@@ -439,10 +449,8 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
         return PositionsSample(positions, changes)
 
     if method == "step":
-        dtype = np.int32 if n < 2 ** 31 else np.int64
-        # row c: the unit step of direction code c (+axis0, -axis0, +axis1, ...)
-        unit = np.kron(np.eye(d, dtype=dtype), np.array([[1], [-1]], dtype=dtype))
-        pos = np.zeros((samples, d), dtype=dtype)
+        # coordinate-major: pos[c] is every path's coordinate c
+        pos = np.zeros((d, samples), dtype=np.int32 if n < 2 ** 31 else np.int64)
         lo, hi = count_changes_in or (n, n)
         for k, code in _headings(d, schedule, n, samples, rng, first=max(first, 1)):
             if lo < k <= hi:
@@ -450,20 +458,28 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
             if lo <= k < hi:
                 prev = code.copy()
             if k > first:  # the window moves from step first + 1 on
-                pos += unit[code]
+                # each path steps by sign 1 - 2 (code & 1) on axis code >> 1
+                sign, axis = _signs(code, pos.dtype), code >> 1
+                for c, coord in enumerate(pos):
+                    coord += sign * (axis == c)
                 if k in positions:
-                    positions[k][:] = pos
+                    positions[k][:] = pos.T
     elif isinstance(schedule, Constant) and times == (n,) and changes is None \
             and first == 0:
         positions[n][:] = _constant_endpoints(d, schedule.p, n, samples, rng)
     else:
         cuts = set(times) | set(count_changes_in or ())
-        pos = np.zeros((samples, d), dtype=_engine_dtype(n))
+        # coordinate-major, so a block's update is one 1-D gather per coordinate
+        pos = np.zeros((d, samples), dtype=_engine_dtype(n))
         for lo, hi, rows, _starts, length, dirs in _runs(
                 d, schedule.hazard(n), n, samples, rng, cuts=cuts, first=first):
-            pos[rows] += _displacements(d, length, dirs, pos.dtype)
-            if hi in positions:
-                positions[hi][rows] = pos[rows]
+            moved = _displacements(d, length, dirs, pos.dtype)
+            for c, coord in enumerate(pos):
+                at = coord[rows]
+                at += moved[:, c]
+                coord[rows] = at
+                if hi in positions:
+                    positions[hi][:, c][rows] = at
             if changes is not None and count_changes_in[0] <= lo \
                     and hi <= count_changes_in[1]:
                 changes[rows] += _turns(length, dirs)
@@ -534,6 +550,13 @@ def _turns(length, dirs):
     return np.add.reduceat(turned, first, dtype=np.intp)
 
 
+def _signs(codes, dtype):
+    """The sign 1 - 2 (code & 1) of each direction code's step, in ``dtype``."""
+    sign = (codes & 1).astype(dtype)
+    sign <<= 1
+    return np.subtract(1, sign, out=sign)
+
+
 def _engine_dtype(n):
     """The run engine's integers over n steps: int32 when n < 2^31 - 1."""
     return np.int32 if n < 2 ** 31 - 1 else np.int64
@@ -556,9 +579,10 @@ def _headings(d, schedule, n, samples, rng, first=1):
     code = rng.integers(0, 2 * d, samples).astype(_code_dtype(d))
     yield first, code
     for k in range(first + 1, n + 1):
-        redraw = rng.random(samples) < float(schedule.p_at(k))
-        if redraw.any():
-            code[redraw] = rng.integers(0, 2 * d, np.count_nonzero(redraw))
+        # integer indices: numpy's boolean setitem is about twice as slow
+        hit = np.flatnonzero(rng.random(samples) < float(schedule.p_at(k)))
+        if hit.size:
+            code[hit] = rng.integers(0, 2 * d, hit.size)
         yield k, code
 
 
@@ -584,8 +608,8 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     The run engine (module docstring) draws each path's redraw set whole.
     Per constant-direction run the target can be met at most once, so hits
     are detected run by run without storing positions.  All horizons must
-    be <= n; they observe the same paths, so per-path counts are monotone
-    in the horizon by construction.
+    be integers <= n; they observe the same paths, so per-path counts are
+    monotone in the horizon by construction.
 
     The work runs in blocks of at most about ``_BLOCK_CELLS`` (paths x runs)
     cells, so beyond O(samples) per-path state and results, memory grows
@@ -601,7 +625,8 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     target = _lattice_point("target", (0,) * d if target is None else target, d)
-    horizons = (n,) if horizons is None else tuple(sorted(set(int(h) for h in horizons)))
+    horizons = (n,) if horizons is None else \
+        tuple(sorted({_integer("horizon", h) for h in horizons}))
     if not horizons:
         raise ValueError("horizons must be nonempty")
     if horizons[0] < 1 or horizons[-1] > n:
@@ -618,15 +643,13 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     for _lo, _hi, rows, starts, length, dirs in _runs(
             d, schedule.hazard(n), n, samples, rng):
         axis = dirs >> 1
-        # each run's signed length, length (1 - 2 (code & 1)), in dtype
-        signed = (dirs & 1).astype(dtype)
-        signed <<= 1
-        np.subtract(1, signed, out=signed)
+        signed = _signs(dirs, dtype)  # each run's signed length
         signed *= length
         # q[..., c]: position - target before each run, an exclusive per-row
         # cumsum from the carried one.  Coordinates are innermost: numpy
         # accumulates a strided row several times faster than a contiguous one.
-        q = np.empty(dirs.shape + (d,), dtype=dtype)
+        # At d = 1 a spare coordinate keeps the rows strided too.
+        q = np.empty(dirs.shape + (max(d, 2),), dtype=dtype)[..., :d]
         for c, qc in enumerate(np.moveaxis(q, -1, 0)):
             qc[:, 0] = rel[rows, c]
             np.multiply(signed[:, :-1], axis[:, :-1] == c, out=qc[:, 1:])

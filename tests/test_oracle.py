@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from fractions import Fraction
@@ -201,3 +202,33 @@ def test_dp_agrees_with_brute_force_moments():
                         for pos, prob in dist.marginal_positions().items())
             assert dp_m4 == pytest.approx(
                 oracle.brute_force_L_moment(p, n, 4), rel=1e-12)
+
+
+def test_exact_distribution_pinned_digest():
+    # every entry and the marginal, in insertion order, hashed by repr per
+    # case: the float DP and the rational DP, with forced (p = 1) and frozen
+    # (p = 0) steps in the Explicit schedule
+    forced = Explicit((0.5, 1.0, 0.0, 0.2, 1.0, 0.0, 0.7, 0.25))
+    cases = {
+        "constant": [(1, Constant(0.3), 9), (2, Constant(0.5), 7), (3, Constant(0.2), 5)],
+        "critical": [(1, Critical(1.0), 10), (2, Critical(2.0, n0=3), 8),
+                     (3, Critical(1.0, n0=2), 6)],
+        "explicit": [(1, forced, 8), (2, forced, 8), (3, forced, 6)],
+    }
+    digests = {}
+    for name, runs in cases.items():
+        for rational in (False, True):
+            h = hashlib.sha256()
+            for d, schedule, n in runs:
+                dist = oracle.exact_distribution(d, schedule, n, rational=rational)
+                h.update(repr(list(dist.entries.items())).encode())
+                h.update(repr(list(dist.marginal_positions().items())).encode())
+            digests[f"{name}-{'rational' if rational else 'float'}"] = h.hexdigest()
+    assert digests == {
+        "constant-float": "d95e643df644ce18d392cc6123664f02f4e22f5ea55fd1c25f32c5a8020cce6f",
+        "constant-rational": "2799ceaead9b17180025e843171a673b1f26a89b09c5e45dededae55e1c18c6a",
+        "critical-float": "140ea28b596e8bde14c17c1edbec9222aff774c5fd37b5223428e86f860b1d47",
+        "critical-rational": "df9cf82eff3e36865400f75120d192f71e8cf95473d9c979ece05914c9d20c91",
+        "explicit-float": "d574a8264a054f38cc1ac10a63917aa95f294aad3481a0215b4a4753f5c28bd4",
+        "explicit-rational": "9a8ab36fb0b9130435e4906d31ad00d3897751cc13cd5f2e582a8eddee62b130",
+    }

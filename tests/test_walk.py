@@ -683,6 +683,59 @@ def test_run_engine_pinned_digest():
     }
 
 
+def test_run_engine_window_pinned_digest():
+    # the run engine's snapshots and change counts from a window start
+    # first > 0, hashed per case, at a block size small enough that rows
+    # cross many blocks and segments; Critical to 2^40 takes int64 positions
+    cases = {
+        "constant": (Constant(0.3), 400, 150, (150, 151, 260, 400), (170, 390)),
+        "power": (PowerDecay(1.0, 0.7), 600, 50, (50, 300, 599, 600), (51, 600)),
+        "critical": (Critical(1.0, n0=2), 500, 100, (100, 250, 500), (120, 480)),
+        "explicit": (Explicit((0.5, 1.0, 0.0, 0.2, 1.0, 0.0, 0.7, 0.1, 0.9)), 9, 2,
+                     (2, 5, 9), (3, 9)),
+        "long": (Critical(1.0), 2 ** 40, 2 ** 39, (2 ** 39 + 7, 2 ** 40),
+                 (2 ** 39 + 1, 2 ** 40)),
+    }
+    digests = {}
+    for k, (name, (schedule, n, first, times, window)) in enumerate(cases.items()):
+        h = hashlib.sha256()
+        for d in (1, 2, 3):
+            with mock.patch.object(walk, "_BLOCK_CELLS", 64):
+                out = walk.sample_positions(d, schedule, n, 700, _rng(600 + 10 * k + d),
+                                            times=times, count_changes_in=window,
+                                            first=first)
+            for t in times:
+                h.update(out.at(t).tobytes())
+            h.update(out.change_counts.tobytes())
+        digests[name] = h.hexdigest()
+    with mock.patch.object(walk, "_BLOCK_CELLS", 64):
+        assert len(walk._segments(Constant(0.3).hazard(400), 400, first=150)) >= 3
+        blocks = list(Constant(0.3).hazard(400).redraws(150, 260, 700, 64, _rng(0)))
+        assert len(blocks) >= 10
+    assert digests == {
+        "constant": "1bf4149ca3a93165a8878f0a3c81ad76aeb0fff9d1ed47983f9e42f50dc474ab",
+        "power": "e87f45e525615065bd22df361297ad0ee7f251778a8f6c2321b6a20c90408dd8",
+        "critical": "b0a5934fbc68f30fbdfceeac210abc4ee78524e2aba97ec0e74b091937c696f0",
+        "explicit": "45714bcba3cb942f570c459dfcffcece4d6f7623d540d4db1b45bd82b0fb75a5",
+        "long": "176138eca22907b78b3b4983bc71693d6d56a2e7a55f09d97825ad6ff2f77e57",
+    }
+
+
+def test_step_engine_window_pinned_digest():
+    # snapshots and change counts of the per-step engine at p = 0.5 from a
+    # window start first > 0, hashed, for d = 1, 2, 3
+    h = hashlib.sha256()
+    for d in (1, 2, 3):
+        n, first, times, window = 40, 9, (9, 10, 25, 40), (12, 39)
+        out = walk.sample_positions(d, Constant(0.5), n, 5_000, _rng(700 + d), times=times,
+                                    count_changes_in=window, method="step", first=first)
+        for t in times:
+            h.update(out.at(t).tobytes())
+        h.update(out.change_counts.tobytes())
+    assert h.hexdigest() == \
+        "70f83f88ef1f9a03fbb5e1499cfb9f483e492a14ecd1fbf93787b93f87b496a1"
+
+
 def test_visit_stats_pinned_digest():
     # visit counts and late flags at every horizon, for d = 1, 2, 3 and a
     # nonzero target, hashed per case: constant-rate gaps over several blocks
@@ -1120,6 +1173,66 @@ def test_numpy_integer_coordinates_pass():
     # a straight walk of 4 steps stands on (0, 2) once, at step 2, iff it
     # heads +y: about a quarter of the paths
     assert set(stats.counts[4].tolist()) == {0, 1}
+
+
+_NOT_STEPS = [2.7, 2.0, np.float64(3.0)]
+
+
+def _refused(what, bad):
+    return pytest.raises(ValueError, match=f"{what} {re.escape(repr(bad))} is not an integer")
+
+
+@pytest.mark.parametrize("method", ["step", "events"])
+def test_non_integer_snapshot_times_are_refused(method):
+    # refused by name, never truncated: times=(2.7, 10) once snapshotted step 2
+    rng = _rng(94)
+    for bad in _NOT_STEPS:
+        with _refused("snapshot time", bad):
+            walk.sample_positions(2, Critical(1.0), 10, 5, rng, times=(bad, 10),
+                                  method=method)
+    out = walk.sample_positions(2, Critical(1.0), 10, 5, rng,
+                                times=(np.int64(2), np.uint8(10)), method=method)
+    assert list(out.positions) == [2, 10]
+    assert all(type(t) is int for t in out.positions)
+
+
+@pytest.mark.parametrize("method", ["step", "events"])
+def test_non_integer_change_window_is_refused(method):
+    # the run engine once crashed with TypeError on (2.5, 9.5), and the
+    # per-step engine compared steps against the float bounds
+    rng = _rng(95)
+    for bad in _NOT_STEPS:
+        for window, named in (((bad, 9), bad), ((1, bad + 6), bad + 6)):
+            with _refused("count_changes_in bound", named):
+                walk.sample_positions(2, Critical(1.0), 10, 5, rng, count_changes_in=window,
+                                      method=method)
+    out = walk.sample_positions(2, Constant(1.0), 10, 5, rng, method=method,
+                                count_changes_in=(np.int64(2), np.uint8(9)))
+    assert np.all(out.change_counts <= 7)
+
+
+@pytest.mark.parametrize("method", ["step", "events"])
+def test_non_integer_first_is_refused(method):
+    rng = _rng(96)
+    for bad in _NOT_STEPS:
+        with _refused("first", bad):
+            walk.sample_positions(2, Critical(1.0), 10, 5, rng, times=(10,),
+                                  method=method, first=bad)
+    out = walk.sample_positions(2, Critical(1.0), 10, 5, rng, times=(10,), method=method,
+                                first=np.int64(9))
+    assert np.all(np.abs(out.at(10)).sum(axis=1) == 1)
+
+
+def test_non_integer_horizons_are_refused():
+    # horizons=(4.9, 10) once counted visits up to step 4
+    rng = _rng(97)
+    for bad in _NOT_STEPS:
+        with _refused("horizon", bad):
+            walk.sample_visit_stats(2, Critical(1.0), 10, 5, rng, horizons=(bad, 10))
+    stats = walk.sample_visit_stats(2, Critical(1.0), 10, 5, rng,
+                                    horizons=(np.int64(4), np.uint8(10)))
+    assert list(stats.counts) == [4, 10] and list(stats.late) == [4, 10]
+    assert all(type(h) is int for h in stats.counts)
 
 
 def test_path_csv_exports():
