@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .schedule import Schedule
+from .schedule import Schedule, _integer
 
 __all__ = [
     "correlation_e",
@@ -43,8 +43,7 @@ def correlation_e(schedule: Schedule, i: int, j: int) -> float:
     """Correlation of the step signs at times i <= j: the product of
     (1 - p_k) over k = i+1 .. j, in that order, reading each p_k at its step
     (O(1) memory).  Empty product (i == j) is 1."""
-    if not (isinstance(i, int) and isinstance(j, int)):
-        raise TypeError("i and j must be integers")
+    i, j = _integer("i", i), _integer("j", j)
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
     return float(math.prod(1.0 - schedule.p_at(k) for k in range(i + 1, j + 1)))
@@ -57,6 +56,7 @@ def sgeom_moment(p, m: int):
     1 at p = 1 where the jump is deterministically +-1.  Only m in {2, 4} is
     supported; other moments raise.
     """
+    m = _integer("m", m)
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if m == 2:
@@ -88,8 +88,7 @@ def fourth_moment_L(p, n: int, mode: str = "exact"):
     whose error against exact mode decays like n q^n.  Both modes accept
     Fraction inputs and stay exact on them.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _integer("n", n, 1)
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
     if mode == "asymptotic":
@@ -133,8 +132,7 @@ def ld_bound(p: float, a: float, d: int) -> float:
     d exp(-p^2 (a / sqrt(d)) / 5) for a >= sqrt(d).  Below those thresholds
     the inequality is not available and a ValueError is raised.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = _integer("d", d, 1)
     if not 0 < p <= 1:
         raise ValueError(f"p must be in (0, 1], got {p}")
     if d == 1:
@@ -263,8 +261,7 @@ def gambler_pass_once(p: float, gap) -> tuple:
     single = p - qq
     if gap == math.inf:
         return single, single * single
-    if not isinstance(gap, int) or gap < 1:
-        raise ValueError(f"gap must be a positive integer or math.inf, got {gap}")
+    gap = _integer("gap", gap, 1)
     r = qq / p
     return single, single * single / (1.0 - r ** gap)
 
@@ -278,8 +275,7 @@ def count_arith_progression(s, s0, M: int) -> int:
     exact modular arithmetic, which is well defined because the 1/2 cutoff
     is dyadic.
     """
-    if not isinstance(M, int) or M < 2:
-        raise ValueError(f"M must be an integer >= 2, got {M}")
+    M = _integer("M", M, 2)
     if not 0 < s <= Fraction(1, 2):
         raise ValueError(f"s must be in (0, 1/2], got {s}")
     if isinstance(s0, float) and not math.isfinite(s0):
@@ -313,8 +309,7 @@ def cosine_sum_bound(q_dist, M: int, a: float, s: float) -> tuple:
         raise ValueError("q_dist entries must be finite and nonnegative")
     if abs(float(q.sum()) - 1.0) > 1e-12:
         raise ValueError(f"q_dist must sum to 1 within 1e-12, got {q.sum()!r}")
-    if not isinstance(M, int) or M < 1:
-        raise ValueError(f"M must be a positive integer, got {M}")
+    M = _integer("M", M, 1)
     if M > q.size:
         raise ValueError(f"need q_j defined (listed) for j = 1..{M}; got {q.size} entries")
     if not (math.isfinite(a) and a > 0):

@@ -39,7 +39,7 @@ import sys
 import traceback
 
 from . import analytics, oracle, verify, walk, zigzag
-from .schedule import classify_regime, schedule_from_json
+from .schedule import _integer, classify_regime, schedule_from_json
 
 
 def _schedule_arg(text: str):
@@ -84,7 +84,7 @@ def _config_line(cfg: dict) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    verify._check_samples(args.samples)
+    _integer("samples", args.samples, 1)
     sched = args.schedule
     cfg = {"subcommand": "simulate", "d": args.d, "schedule": sched.to_json(),
            "n": args.n, "samples": args.samples, "seed": args.seed,
@@ -123,7 +123,7 @@ def _cmd_zigzag(args) -> int:
     if (args.b is None) == (args.a is None):
         raise ValueError("give exactly one of --b or --a")
     if args.grid is not None:
-        verify._check_samples(args.grid, 1, "grid")
+        _integer("grid", args.grid, 1)
     if not (math.isfinite(args.horizon) and args.horizon > 0):
         raise ValueError(f"--horizon must be a positive finite horizon T, got {args.horizon}")
     b = args.b if args.b is not None else zigzag.b_from_a(args.a, args.d)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .schedule import Schedule
+from .schedule import Schedule, _integer
 from .walk import Direction
 
 __all__ = [
@@ -27,7 +27,14 @@ __all__ = [
 
 
 class ResourceLimitError(ValueError):
-    """Raised when a request exceeds the configured exact-computation caps."""
+    """Raised when a request exceeds the exact computations' caps."""
+
+
+# Most cell updates, n steps over 2d (2n + 1)^d cells, the float DP may make:
+# about 2 s near the cap on a 2-core machine (d = 2, n = 250: 1.6 s; d = 3,
+# n = 46: 2.1 s), against 0.05 s, 0.7 s and 1.1 s at d = 1, 2, 3 for
+# n = 2000, 200, 40
+_MAX_DP_WORK = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class ExactDistribution:
         return out
 
     def prob(self, position, direction: Direction | None = None):
-        pos = tuple(int(c) for c in position)
+        pos = tuple(_integer("position coordinate", c) for c in position)
         zero = Fraction(0) if self.rational else 0.0
         if direction is not None:
             return self.entries.get((pos, direction), zero)
@@ -97,27 +104,27 @@ def _offsets(d: int, n: int):
     return slices
 
 
-def exact_distribution(d: int, schedule: Schedule, n: int, cap: int = 20,
+def exact_distribution(d: int, schedule: Schedule, n: int,
                        rational: bool = False) -> ExactDistribution:
     """Forward DP for the law of the walk after n steps.
 
     The first step draws a uniform direction regardless of the schedule; at
     step k >= 2, mass at (z, dir) splits into (1 - p_k) continuing along dir
     and p_k/(2d) restarting along each of the 2d directions, then advances.
-    Dense float arrays over the box [-n, n]^d are used by default; rational
-    mode (n <= 10) switches to a Fraction-valued sparse DP with exact output.
+    Dense float arrays over the box [-n, n]^d are used by default, for at
+    most ``_MAX_DP_WORK`` cell updates n 2d (2n + 1)^d; rational mode
+    (n <= 10) switches to a Fraction-valued sparse DP with exact output.
+    Past either cap a ``ResourceLimitError`` is raised.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if n > cap:
-        raise ResourceLimitError(
-            f"n = {n} exceeds the exact-DP cap {cap}; raise cap explicitly if intended")
+    d, n = _integer("d", d, 1), _integer("n", n, 1)
     if rational:
         if n > 10:
             raise ResourceLimitError(f"rational mode is capped at n = 10, got {n}")
         return _exact_rational(d, schedule, n)
+    work = n * 2 * d * (2 * n + 1) ** d
+    if work > _MAX_DP_WORK:
+        raise ResourceLimitError(f"the float DP at d = {d}, n = {n} makes {work} cell "
+                                 f"updates, more than its cap 2^28")
 
     probs = schedule.prefix_probs(n)
     shape = (2 * d,) + (2 * n + 1,) * d
@@ -192,8 +199,7 @@ def brute_force_L_moment(p, n: int, m: int):
     2..n; 2^(n-1) patterns total, capped at n = 14.  Generic arithmetic, so
     Fraction p gives the exact rational moment.  Only m in {2, 4}.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n, m = _integer("n", n, 1), _integer("m", m)
     if n > 14:
         raise ResourceLimitError(f"brute force is capped at n = 14, got {n}")
     if m not in (2, 4):

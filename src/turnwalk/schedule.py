@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -55,6 +56,20 @@ Prob = Union[int, float]  # fractions.Fraction also works; arithmetic is generic
 def _check_prob(x, name: str) -> None:
     if not (0 <= x <= 1):
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
+
+
+def _integer(name, x, minimum=None):
+    """``x`` as a Python int, at least ``minimum`` if given.
+
+    The one integer rule: Python and numpy integers pass, while a float, even
+    a whole one, and a bool are refused, never truncated or read as 0 or 1.
+    """
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise ValueError(f"{name} {x!r} is not an integer")
+    x = operator.index(x)
+    if minimum is not None and x < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {x}")
+    return x
 
 
 class Schedule:
@@ -111,11 +126,6 @@ class Schedule:
     def _tail(self) -> tuple:
         """Tagged description of the eventual behavior, for classification."""
         raise NotImplementedError
-
-    @staticmethod
-    def _require_step(n: int) -> None:
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"step index must be an integer >= 1, got {n!r}")
 
 
 def count_order(counts: np.ndarray) -> np.ndarray:
@@ -442,16 +452,15 @@ class _CriticalHazard(_ForcedSpan):
         self._h0 = 0.0 if prefix_p == 1 else -math.log1p(-prefix_p)
         self._pre = max(n0 - 2, 0)  # prefix steps 2..n0-1
         self._m = max(n0 + forced_n0, 2)
-        if a == 1:
-            self._coef = ()
-            self._end = self._m - 1
-        else:
-            self._coef = tuple(
-                (-1) ** (k + 1) / (k * (k + 1))
-                * sum(math.comb(k + 1, j) * _BERNOULLI[j] * a ** (k + 1 - j)
-                      for j in range(k + 1))
-                for k in range(1, 7))
-            self._end = max(self._m - 1, min(n, math.ceil(64 * max(a, 1))))
+        self._end = self._m - 1 if a == 1 else \
+            max(self._m - 1, min(n, math.ceil(64 * max(a, 1))))
+        # the series serves only steps past the table, so none is built when
+        # the table reaches n: its a^7 term overflows from a ~ 1e44 on
+        self._coef = () if a == 1 or self._end >= n else tuple(
+            (-1) ** (k + 1) / (k * (k + 1))
+            * sum(math.comb(k + 1, j) * _BERNOULLI[j] * a ** (k + 1 - j)
+                  for j in range(k + 1))
+            for k in range(1, 7))
         # table[i] = nc(m - 1 + i) for m - 1 + i <= end, built in place:
         # j = m..end becomes -log(1 - a/j), then the cumsum from nc(m - 1)
         self._table = np.arange(self._m - 1, self._end + 1, dtype=float)
@@ -527,10 +536,11 @@ class Constant(Schedule):
         _check_prob(self.p, "p")
 
     def p_at(self, n: int):
-        self._require_step(n)
+        _integer("step", n, 1)
         return self.p
 
     def prefix_probs(self, n: int) -> np.ndarray:
+        n = _integer("n", n, 0)
         return np.full(n, float(self.p))
 
     def hazard(self, n: int):
@@ -558,8 +568,7 @@ class Critical(Schedule):
     def __post_init__(self):
         if not (math.isfinite(self.a) and self.a > 0):
             raise ValueError(f"a must be positive and finite, got {self.a!r}")
-        if not isinstance(self.n0, int) or self.n0 < 1:
-            raise ValueError(f"n0 must be an integer >= 1, got {self.n0!r}")
+        object.__setattr__(self, "n0", _integer("n0", self.n0, 1))
         if self.a > self.n0:
             raise ValueError(
                 f"a/n exceeds 1 at n = n0: need a <= n0, got a={self.a!r}, n0={self.n0}"
@@ -567,12 +576,13 @@ class Critical(Schedule):
         _check_prob(self.prefix_p, "prefix_p")
 
     def p_at(self, n: int):
-        self._require_step(n)
+        n = _integer("step", n, 1)
         if n < self.n0:
             return self.prefix_p
         return self.a / n
 
     def prefix_probs(self, n: int) -> np.ndarray:
+        n = _integer("n", n, 0)
         out = np.arange(1, n + 1, dtype=float)
         tail = out[self.n0 - 1:]
         np.divide(float(self.a), tail, out=tail)
@@ -605,8 +615,7 @@ class PowerDecay(Schedule):
             raise ValueError(f"c must be positive and finite, got {self.c!r}")
         if not (0 < self.gamma < 1):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma!r}")
-        if not isinstance(self.n0, int) or self.n0 < 1:
-            raise ValueError(f"n0 must be an integer >= 1, got {self.n0!r}")
+        object.__setattr__(self, "n0", _integer("n0", self.n0, 1))
         # c * n**(-gamma) is decreasing, so the n0 value is the maximum
         if self.c * self.n0 ** (-self.gamma) > 1:
             raise ValueError(
@@ -615,13 +624,14 @@ class PowerDecay(Schedule):
         _check_prob(self.prefix_p, "prefix_p")
 
     def p_at(self, n: int):
-        self._require_step(n)
+        n = _integer("step", n, 1)
         if n < self.n0:
             return self.prefix_p
         # np.power, as in prefix_probs: Python's ** differs in the last bit
         return float(self.c * np.power(np.float64(n), -self.gamma))
 
     def prefix_probs(self, n: int) -> np.ndarray:
+        n = _integer("n", n, 0)
         out = np.arange(1, n + 1, dtype=float)
         tail = out[self.n0 - 1:]
         np.power(tail, -self.gamma, out=tail)
@@ -653,17 +663,17 @@ class Periodic(Schedule):
             raise ValueError("values must be a nonempty list of probabilities")
         for v in vals:
             _check_prob(v, "values[]")
-        if not isinstance(self.n0, int) or self.n0 < 1:
-            raise ValueError(f"n0 must be an integer >= 1, got {self.n0!r}")
+        object.__setattr__(self, "n0", _integer("n0", self.n0, 1))
         _check_prob(self.prefix_p, "prefix_p")
 
     def p_at(self, n: int):
-        self._require_step(n)
+        n = _integer("step", n, 1)
         if n < self.n0:
             return self.prefix_p
         return self.values[(n - self.n0) % len(self.values)]
 
     def prefix_probs(self, n: int) -> np.ndarray:
+        n = _integer("n", n, 0)
         out = np.full(n, float(self.prefix_p))
         if n >= self.n0:
             for i, v in enumerate(self.values):
@@ -701,12 +711,13 @@ class Explicit(Schedule):
             _check_prob(v, "values[]")
 
     def p_at(self, n: int):
-        self._require_step(n)
+        n = _integer("step", n, 1)
         if n <= len(self.values):
             return self.values[n - 1]
         return self.values[-1]
 
     def prefix_probs(self, n: int) -> np.ndarray:
+        n = _integer("n", n, 0)
         vals = np.asarray(self.values, dtype=float)
         if n <= len(vals):
             return vals[:n].copy()
@@ -819,8 +830,7 @@ def classify_regime(schedule: Schedule, d: int) -> RegimeClassification:
     in this toolkit).  The verdict depends only on the eventual behavior of
     p_n, never on the prefix.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {d!r}")
+    d = _integer("d", d, 1)
     checks: list = []
     if d == 1:
         checks.append(("dimension at least 2", False))

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import walk
 from .analytics import correlation_e, fourth_moment_L, gambler_pass_once, ld_bound
-from .schedule import Constant, Critical, Schedule
+from .schedule import Constant, Critical, Schedule, _integer
 from .zigzag import b_from_a, sample_endpoints
 
 __all__ = [
@@ -85,14 +85,8 @@ STREAMS = {
 
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
     """The one rng derivation used everywhere; see the module docstring."""
-    ss = np.random.SeedSequence(seed, spawn_key=(STREAMS[stream], 0))
+    ss = np.random.SeedSequence(_integer("seed", seed, 0), spawn_key=(STREAMS[stream], 0))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def _check_samples(samples: int, minimum: int = 1, name: str = "samples") -> None:
-    """Operation entry check: estimators need at least ``minimum`` samples."""
-    if samples < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {samples}")
 
 
 def _builtin(obj):
@@ -343,10 +337,10 @@ def poisson_gof(counts: np.ndarray, lam: float, alpha: float = 0.01) -> tuple:
 def estimate_tail(d: int, p: float, n: int, a: float, samples: int,
                   seed: int = 0) -> EstimatorResult:
     """Empirical P(|S_n| > a sqrt(n)), Euclidean norm, binomial s.e."""
+    d, samples = _integer("d", d, 1), _integer("samples", samples, 1)
     if not (math.isfinite(a) and a >= (1.0 if d == 1 else math.sqrt(d))):
         raise ValueError(f"a = {a} is not finite or is below the bound's validity "
                          f"threshold for d = {d}")
-    _check_samples(samples)
     pos = walk.sample_positions(d, Constant(p), n, samples,
                                 stream_rng(seed, "tail")).at(n)
     r2 = np.sum(pos.astype(float) ** 2, axis=1)
@@ -371,9 +365,9 @@ def estimate_covariance(schedule: Schedule, i: int, j: int, samples: int,
     through steps i + 1..j has the law of (Y_i, Y_j).  The closed form
     prod (1 - p_k) is never used.
     """
+    i, j, samples = _integer("i", i), _integer("j", j), _integer("samples", samples, 1)
     if not 1 <= i <= j:
         raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
-    _check_samples(samples)
     rng = stream_rng(seed, "covariance")
     for k, code in walk._headings(1, schedule, j, samples, rng, first=i):
         if k == i:
@@ -406,12 +400,13 @@ def scaling_limit_test(d: int, p: float, n: int, samples: int,
     within 4% of 1 (``variance[c]``); pairwise cross-covariances within
     4 s.e. of 0 (``cross[c1,c2]``).
     """
+    n = _integer("n", n)
     if n < 1_000:
         raise ValueError("scaling_limit_test needs n >= 10^3 to be meaningful")
     if not 0.0 < p <= 1.0:
         # at p = 0 each path runs straight along one axis: no diffusive limit
         raise ValueError(f"scaling_limit_test needs 0 < p <= 1, got p = {p}")
-    _check_samples(samples, 2)
+    samples = _integer("samples", samples, 2)
     pos = walk.sample_positions(d, Constant(p), n, samples,
                                 stream_rng(seed, "scaling")).at(n).astype(float)
     factor = math.sqrt(d * p / (2.0 - p)) / math.sqrt(n)
@@ -470,12 +465,13 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
+    n = _integer("n", n)
     if n < 10_000:
         raise ValueError("critical_limit_test needs n >= 10^4 to be meaningful")
     m = int(delta * n)
     if m < 1:
         raise ValueError(f"need delta * n >= 1, got delta={delta}, n={n}")
-    _check_samples(samples, 2)
+    samples = _integer("samples", samples, 2)
     b = b_from_a(a, d)
     schedule = Critical(a=a, n0=max(1, math.ceil(a)))
 
@@ -539,12 +535,10 @@ def recurrence_experiment(d: int, schedule: Schedule, horizons, samples: int,
     "still coming back late" signature).  Horizons must be increasing; each
     path is simulated once to the largest horizon.
     """
-    horizons = [int(h) for h in horizons]
+    horizons = [_integer("horizon", h, 0) for h in horizons]
     if any(h2 <= h1 for h1, h2 in zip(horizons, horizons[1:])) or not horizons:
         raise ValueError("horizons must be a nonempty strictly increasing list")
-    if horizons[0] < 0:
-        raise ValueError("horizons must be nonnegative")
-    _check_samples(samples)
+    samples = _integer("samples", samples, 1)
     positive = [h for h in horizons if h >= 1]
     if positive:
         stats = walk.sample_visit_stats(d, schedule, positive[-1], samples,
@@ -658,9 +652,10 @@ def volkov_bc_experiment(p: float, i: int, j: int, samples: int,
     """
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must be in (1/2, 1), got {p}")
+    i, j, samples = _integer("i", i), _integer("j", j), _integer("samples", samples, 1)
     if not 1 <= i < j:
         raise ValueError(f"need 1 <= i < j, got i={i}, j={j}")
-    _check_samples(samples)
+    horizon = None if horizon is None else _integer("horizon", horizon, 1)
     horizon, reach, cert = _volkov_certify(p, j, horizon)
     rng = stream_rng(seed, "volkov")
     hits_i = 0
@@ -694,9 +689,7 @@ def volkov_report(p: float, i: int, j: int, samples: int, horizon: int | None = 
 
 def moment4_experiment(p: float, n: int, samples: int, seed: int = 0) -> EstimatorResult:
     """Empirical E[L_n^4] of the 1-d walk, s.e. from the sample variance."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_samples(samples)
+    n, samples = _integer("n", n, 1), _integer("samples", samples, 1)
     pos = walk.sample_positions(1, Constant(p), n, samples, stream_rng(seed, "moment4")).at(n)
     x = pos[:, 0].astype(float) ** 4
     return _mean_estimator(float(x.sum()), float((x * x).sum()), samples, seed)

@@ -93,13 +93,12 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .schedule import Constant, Schedule
+from .schedule import Constant, Schedule, _integer
 
 __all__ = [
     "Direction",
@@ -159,7 +158,7 @@ class Direction:
 
 
 def all_directions(d: int) -> list:
-    return [Direction.from_index(i) for i in range(2 * d)]
+    return [Direction.from_index(i) for i in range(2 * _integer("d", d, 1))]
 
 
 @dataclass(frozen=True)
@@ -250,19 +249,6 @@ class Path:
             writer.writerow([t] + [int(x) for x in row])
 
 
-def _check_dimension(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-
-
-def _integer(name, x):
-    """``x`` as a Python int; a float, even a whole one, is refused."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} {x!r} is not an integer") from None
-
-
 def _lattice_point(name, point, d):
     """``point`` as d Python ints; a float coordinate, even a whole one, is refused."""
     coords = [_integer(f"{name} coordinate", x) for x in point]
@@ -272,7 +258,7 @@ def _lattice_point(name, point, d):
 
 
 def initial_state(d: int, start: Sequence[int] | None = None) -> WalkState:
-    _check_dimension(d)
+    d = _integer("d", d, 1)
     return WalkState(_lattice_point("start", (0,) * d if start is None else start, d),
                      None, 0)
 
@@ -302,8 +288,7 @@ def step(state: WalkState, schedule: Schedule, rng: np.random.Generator) -> Walk
 def simulate(d: int, schedule: Schedule, n_steps: int, rng: np.random.Generator,
              start: Sequence[int] | None = None) -> Path:
     """Direct stepping sampler; the first direction is uniform over 2d options."""
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
+    d, n_steps = _integer("d", d, 1), _integer("n_steps", n_steps, 0)
     state = initial_state(d, start)
     events = []
     for _ in range(n_steps):
@@ -325,8 +310,7 @@ def _event_paths(d, schedule, n, samples, rng, start=None):
     """Yield ``samples`` run-engine paths, drawn from one hazard in groups of
     about ``_GROUP_CELLS`` expected redraws.  A path's events are its distinct
     redraw steps, each with the last direction drawn there, in step order."""
-    if n < 0:
-        raise ValueError("n_steps must be nonnegative")
+    d, n = _integer("d", d, 1), _integer("n_steps", n, 0)
     origin = initial_state(d, start).position
     if n == 0:
         yield from (Path(origin, (), 0) for _ in range(samples))
@@ -412,9 +396,7 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
     displacements S_t - S_first.  The heading is uniform at every step, so
     this window has exactly the law of steps first + 1..n of a whole path
     (module docstring).  Snapshot times must lie in [first, n], and a
-    change window in [max(first, 1), n].  Times, window bounds and
-    ``first`` are step numbers: Python or numpy integers; a float, even a
-    whole one, is a ValueError.
+    change window in [max(first, 1), n].
 
     With "events", a ``Constant`` schedule, only the horizon requested, no
     change window and ``first`` 0, the endpoints come from the composition
@@ -422,11 +404,7 @@ def sample_positions(d: int, schedule: Schedule, n: int, samples: int,
     of n.  Every other "events" request runs the run engine, with memory
     bounded as in ``sample_visit_stats``.
     """
-    _check_dimension(d)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
+    d, n, samples = _integer("d", d, 1), _integer("n", n, 0), _integer("samples", samples, 0)
     times = tuple(sorted({_integer("snapshot time", t)
                           for t in ((n,) if times is None else times)}))
     first = _integer("first", first)
@@ -619,11 +597,7 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
     segments of at most half a block of expected redraws each; a path
     crosses a segment boundary carrying its position and direction.
     """
-    _check_dimension(d)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
+    d, n, samples = _integer("d", d, 1), _integer("n", n, 1), _integer("samples", samples, 0)
     target = _lattice_point("target", (0,) * d if target is None else target, d)
     horizons = (n,) if horizons is None else \
         tuple(sorted({_integer("horizon", h) for h in horizons}))
@@ -639,7 +613,8 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
 
     # |position - target|_1 <= n + |target|_1 bounds every integer below
     dtype = np.int32 if n + sum(abs(x) for x in target) < 2 ** 31 - 1 else np.int64
-    rel = np.tile(-np.asarray(target, dtype=dtype), (samples, 1))  # position - target
+    # position - target, coordinate-major like the positions of sample_positions
+    rel = np.repeat(-np.asarray(target, dtype=dtype)[:, None], samples, axis=1)
     for _lo, _hi, rows, starts, length, dirs in _runs(
             d, schedule.hazard(n), n, samples, rng):
         axis = dirs >> 1
@@ -650,11 +625,11 @@ def sample_visit_stats(d: int, schedule: Schedule, n: int, samples: int,
         # accumulates a strided row several times faster than a contiguous one.
         # At d = 1 a spare coordinate keeps the rows strided too.
         q = np.empty(dirs.shape + (max(d, 2),), dtype=dtype)[..., :d]
-        for c, qc in enumerate(np.moveaxis(q, -1, 0)):
-            qc[:, 0] = rel[rows, c]
+        for c, (qc, rc) in enumerate(zip(np.moveaxis(q, -1, 0), rel)):
+            qc[:, 0] = rc[rows]
             np.multiply(signed[:, :-1], axis[:, :-1] == c, out=qc[:, 1:])
             np.cumsum(qc, axis=1, out=qc)
-            rel[rows, c] = qc[:, -1] + signed[:, -1] * (axis[:, -1] == c)
+            rc[rows] = qc[:, -1] + signed[:, -1] * (axis[:, -1] == c)
         del axis, signed
         # the run hits iff the target lies ahead on its axis, within its
         # length: then the L1 distance equals the signed on-axis offset

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import count_order
+from .schedule import _integer, count_order
 from .walk import Direction
 
 __all__ = [
@@ -38,14 +38,22 @@ __all__ = [
     "sample_endpoints",
 ]
 
+# Most expected points a draw may hold: past them an intensity is refused
+# before any draw, not left to fail in the allocator.  ``sample_endpoints``
+# keeps 32 bytes a point while it builds a group, and takes 40-80 ns a point
+# (512 MiB and about 1 s at the cap, even when one sample holds them all);
+# a ``sample_ppp`` point becomes Python objects through ``label_intervals``,
+# about 160 bytes and 30 us each (170 MB and 30 s at its cap).
+_MAX_POINTS = 1 << 24
+_MAX_PPP_POINTS = 1 << 20
+
 
 def b_from_a(a: float, d: int) -> float:
     """Zigzag intensity matching the critical schedule p_n = a/n: only a
     fraction (2d-1)/2d of direction redraws actually change the direction."""
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"a must be positive and finite, got {a}")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = _integer("d", d, 1)
     return (2 * d - 1) * a / (2 * d)
 
 
@@ -148,6 +156,9 @@ def sample_ppp(b: float, epsilon: float | None, T: float,
         raise ValueError(f"need a finite horizon T and 0 < epsilon <= T, "
                          f"got epsilon={epsilon}, T={T}")
     lam = b * (np.log(T) - np.log(epsilon))
+    if not lam <= _MAX_PPP_POINTS:
+        raise ValueError(f"b = {b} on (epsilon, T] = ({epsilon}, {T}] expects {lam:.6g} "
+                         f"points, more than {_MAX_PPP_POINTS}")
     while True:
         count = int(rng.poisson(lam))
         pts = np.sort(np.exp(rng.uniform(np.log(epsilon), np.log(T), size=count)))
@@ -168,8 +179,7 @@ def label_intervals(ppp: PPPRealization, d: int,
     uniform over the 2d - 1 directions differing from the neighbor already
     labeled.  Requires epsilon < 1 <= T so the anchor interval exists.
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = _integer("d", d, 1)
     if not (ppp.epsilon < 1.0 <= ppp.horizon):
         raise ValueError(
             f"anchor time 1 outside (epsilon, T] = ({ppp.epsilon}, {ppp.horizon}]")
@@ -221,13 +231,16 @@ def sample_endpoints(d: int, b: float, epsilon: float, samples: int,
     uniform on every interval and both constructions induce the same joint
     law (this equivalence is tested against ``label_intervals``).
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d, samples = _integer("d", d, 1), _integer("samples", samples, 0)
     if not (math.isfinite(b) and b > 0):
         raise ValueError(f"b must be positive and finite, got {b}")
     if not 0 < epsilon <= 1:
         raise ValueError(f"need 0 < epsilon <= 1, got epsilon={epsilon}")
     log_eps = math.log(epsilon)
+    points = samples * (1 - b * log_eps)  # each sample's points and the end 1
+    if not points <= _MAX_POINTS:
+        raise ValueError(f"b = {b} and epsilon = {epsilon} expect {points:.6g} points "
+                         f"over {samples} samples, more than {_MAX_POINTS}")
     counts = rng.poisson(-b * log_eps, samples)
     order = count_order(counts)
     ends = np.flatnonzero(np.diff(counts[order])) + 1

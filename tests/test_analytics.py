@@ -47,7 +47,7 @@ def test_correlation_validation():
         analytics.correlation_e(Constant(0.5), 3, 2)
     with pytest.raises(ValueError):
         analytics.correlation_e(Constant(0.5), 0, 2)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="i 1.0 is not an integer"):
         analytics.correlation_e(Constant(0.5), 1.0, 2)
 
 

@@ -299,7 +299,7 @@ def test_simulate_rejected_argument_writes_nothing(tmp_path, capsys):
                                  "--n", "-1", "--samples", "3", "--out", str(target)])
     assert rc == 2
     assert out == "" and not target.exists()
-    assert "n_steps must be nonnegative" in err
+    assert "n_steps must be >= 0, got -1" in err
 
 
 def test_simulate_schedule_from_file(tmp_path, capsys):
@@ -322,6 +322,29 @@ def test_degenerate_counts_exit_2(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # a JSON true once passed as n0 = 1 and was echoed back
+    ["classify", "--d", "2", "--schedule", '{"kind": "Critical", "a": 1, "n0": true}'],
+    # intensities whose points would fill no memory: once a MemoryError, exit 3
+    ["zigzag", "--d", "1", "--b", "1e12"],
+    ["verify", "critical", "--d", "1", "--a", "1e12", "--n", "10000", "--delta", "0.5",
+     "--samples", "10"],
+])
+def test_refused_integer_or_intensity_exit_2(capsys, argv):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert "error" in err and "internal" not in err
+
+
+def test_critical_past_float_series_exit_0(capsys):
+    # a = 1e100 once overflowed in its tail series, which no step up to
+    # n0 = 10^301 reads
+    schedule = json.dumps({"kind": "Critical", "a": 1e100, "n0": 10 ** 301})
+    report = _run_json(capsys, ["verify", "recurrence", "--d", "1", "--schedule", schedule,
+                                "--horizons", "10", "--samples", "5"])
+    assert report["config"]["schedule"]["n0"] == 10 ** 301
 
 
 def test_simulate_bad_schedule_exit_2(capsys):

@@ -130,14 +130,15 @@ def test_marginal_positions_sum():
 
 
 def test_resource_caps():
-    with pytest.raises(oracle.ResourceLimitError):
-        oracle.exact_distribution(1, Constant(0.5), 21)
+    # the float DP is capped by its work, n 2d (2n + 1)^d <= 2^28 cell updates:
+    # 50 * 6 * 101^3 is past it, while d = 3, n = 40 is not
+    with pytest.raises(oracle.ResourceLimitError, match="d = 3, n = 50"):
+        oracle.exact_distribution(3, Constant(0.5), 50)
     with pytest.raises(oracle.ResourceLimitError):
         oracle.exact_distribution(1, Constant(0.5), 11, rational=True)
     with pytest.raises(oracle.ResourceLimitError):
         oracle.brute_force_L_moment(0.5, 15, 2)
-    # raising the cap explicitly is allowed
-    dist = oracle.exact_distribution(1, Constant(0.5), 22, cap=25)
+    dist = oracle.exact_distribution(1, Constant(0.5), 22)
     assert abs(dist.total_mass - 1.0) < 1e-11
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import io
+import json
 import itertools
 import math
 import re
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from turnwalk import oracle, walk
-from turnwalk.schedule import Constant, Critical, Explicit, Periodic, PowerDecay
+from turnwalk import analytics, oracle, verify, walk, zigzag
+from turnwalk.schedule import (Constant, Critical, Explicit, Periodic, PowerDecay,
+                               classify_regime)
 from turnwalk.walk import Direction, Path, TurnEvent, WalkState
 
 
@@ -242,7 +245,7 @@ def test_visit_stats_validates_samples_and_horizons():
     # checked up front, not left to an IndexError or to numpy's shape error
     with pytest.raises(ValueError, match="horizons must be nonempty"):
         walk.sample_visit_stats(2, Constant(0.5), 5, 10, _rng(), horizons=[])
-    with pytest.raises(ValueError, match="samples must be nonnegative"):
+    with pytest.raises(ValueError, match="samples must be >= 0, got -1"):
         walk.sample_visit_stats(2, Constant(0.5), 5, -1, _rng())
     empty = walk.sample_visit_stats(2, Constant(0.5), 5, 0, _rng())
     assert empty.counts[5].shape == (0,)
@@ -1233,6 +1236,118 @@ def test_non_integer_horizons_are_refused():
                                     horizons=(np.int64(4), np.uint8(10)))
     assert list(stats.counts) == [4, 10] and list(stats.late) == [4, 10]
     assert all(type(h) is int for h in stats.counts)
+
+
+_HALF = Constant(0.5)
+_FAMILIES = (_HALF, Critical(1.0, n0=2), PowerDecay(0.5, 0.5), Periodic((0.5, 0.25)),
+             Explicit((1.0, 0.5)))
+
+# one integer argument per public function: name -> (the argument's name, a
+# call with it, a valid value)
+_INTEGER_ARGS = {
+    "Critical n0": ("n0", lambda v: Critical(1.0, n0=v), 2),
+    "PowerDecay n0": ("n0", lambda v: PowerDecay(0.5, 0.5, n0=v), 2),
+    "Periodic n0": ("n0", lambda v: Periodic((0.5, 0.25), n0=v), 2),
+    **{f"{s.kind}.p_at": ("step", lambda v, s=s: s.p_at(v), 3) for s in _FAMILIES},
+    **{f"{s.kind}.prefix_probs": ("n", lambda v, s=s: s.prefix_probs(v), 5)
+       for s in _FAMILIES},
+    "classify_regime": ("d", lambda v: classify_regime(_HALF, v), 3),
+    "all_directions": ("d", walk.all_directions, 2),
+    "initial_state": ("d", walk.initial_state, 2),
+    "simulate d": ("d", lambda v: walk.simulate(v, _HALF, 6, _rng(1)), 2),
+    "simulate n_steps": ("n_steps", lambda v: walk.simulate(2, _HALF, v, _rng(1)), 6),
+    "simulate_events": ("n_steps", lambda v: walk.simulate_events(2, _HALF, v, _rng(1)), 6),
+    "sample_positions d": ("d", lambda v: walk.sample_positions(v, _HALF, 6, 4, _rng(1)), 2),
+    "sample_positions n": ("n", lambda v: walk.sample_positions(2, _HALF, v, 4, _rng(1)), 6),
+    "sample_positions samples": (
+        "samples", lambda v: walk.sample_positions(2, _HALF, 6, v, _rng(1), method="step"), 4),
+    "sample_visit_stats d": ("d", lambda v: walk.sample_visit_stats(v, _HALF, 6, 4, _rng(1)), 2),
+    "sample_visit_stats n": ("n", lambda v: walk.sample_visit_stats(2, _HALF, v, 4, _rng(1)), 6),
+    "sample_visit_stats samples": (
+        "samples", lambda v: walk.sample_visit_stats(2, _HALF, 6, v, _rng(1)), 4),
+    "correlation_e i": ("i", lambda v: analytics.correlation_e(Critical(1.0), v, 5), 2),
+    "correlation_e j": ("j", lambda v: analytics.correlation_e(Critical(1.0), 2, v), 5),
+    "sgeom_moment": ("m", lambda v: analytics.sgeom_moment(0.5, v), 4),
+    "fourth_moment_L": ("n", lambda v: analytics.fourth_moment_L(Fraction(1, 3), v), 6),
+    "ld_bound": ("d", lambda v: analytics.ld_bound(0.5, 3.0, v), 2),
+    "gambler_pass_once": ("gap", lambda v: analytics.gambler_pass_once(0.7, v), 3),
+    "count_arith_progression": (
+        "M", lambda v: analytics.count_arith_progression(0.25, 0.1, v), 8),
+    "cosine_sum_bound": ("M", lambda v: analytics.cosine_sum_bound([0.5, 0.5], v, 0.5, 0.3), 2),
+    "exact_distribution d": ("d", lambda v: oracle.exact_distribution(v, _HALF, 3), 2),
+    "exact_distribution n": ("n", lambda v: oracle.exact_distribution(2, _HALF, v), 3),
+    "ExactDistribution.prob": ("position coordinate", lambda v: oracle.exact_distribution(
+        1, _HALF, 3).prob((v,)), 1),
+    "brute_force_L_moment n": ("n", lambda v: oracle.brute_force_L_moment(0.5, v, 4), 5),
+    "brute_force_L_moment m": ("m", lambda v: oracle.brute_force_L_moment(0.5, 5, v), 4),
+    "b_from_a": ("d", lambda v: zigzag.b_from_a(1.0, v), 2),
+    "label_intervals": ("d", lambda v: zigzag.label_intervals(
+        zigzag.sample_ppp(2.0, 0.1, 1.0, _rng(1)), v, _rng(2)), 2),
+    "sample_endpoints d": ("d", lambda v: zigzag.sample_endpoints(v, 0.5, 0.1, 4, _rng(1)), 2),
+    "sample_endpoints samples": (
+        "samples", lambda v: zigzag.sample_endpoints(2, 0.5, 0.1, v, _rng(1)), 4),
+    "stream_rng": ("seed", lambda v: verify.stream_rng(v, "tail").random(4), 3),
+    "estimate_tail": ("samples", lambda v: verify.estimate_tail(2, 0.5, 10, 2.0, v), 50),
+    "tail_report": ("d", lambda v: verify.tail_report(v, 0.5, 10, 2.0, 50), 2),
+    "estimate_covariance": ("i", lambda v: verify.estimate_covariance(_HALF, v, 5, 50), 2),
+    "covariance_report": ("j", lambda v: verify.covariance_report(_HALF, 2, v, 50), 5),
+    "scaling_limit_test": ("n", lambda v: verify.scaling_limit_test(1, 0.5, v, 20), 1000),
+    "critical_limit_test": (
+        "n", lambda v: verify.critical_limit_test(1, 1.0, v, 20, 0.5), 10_000),
+    "recurrence_experiment": (
+        "horizon", lambda v: verify.recurrence_experiment(1, _HALF, (v, 20), 20), 10),
+    "recurrence_report": ("samples", lambda v: verify.recurrence_report(1, _HALF, (10, 20), v),
+                          20),
+    "volkov_bc_experiment": ("i", lambda v: verify.volkov_bc_experiment(0.7, v, 3, 20), 1),
+    "volkov_report": ("horizon", lambda v: verify.volkov_report(0.7, 1, 2, 20, horizon=v), 4096),
+    "moment4_experiment": ("n", lambda v: verify.moment4_experiment(0.5, v, 20), 6),
+    "moment4_report": ("samples", lambda v: verify.moment4_report(0.5, 6, v), 20),
+}
+
+
+def _canon(x):
+    """``x`` as nested tuples of reprs, so equal means the same types and bits."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, _canon(vars(x))
+    if isinstance(x, dict):
+        return tuple((_canon(k), _canon(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, tuple(_canon(v) for v in x)
+    return repr(x)
+
+
+@pytest.mark.parametrize("case", sorted(_INTEGER_ARGS))
+def test_integer_rule(case):
+    # a float, even a whole one, and a bool are refused by name; a numpy
+    # integer gives exactly what the Python int gives
+    name, call, good = _INTEGER_ARGS[case]
+    for bad in (2.0, True):
+        with _refused(name, bad):
+            call(bad)
+    assert _canon(call(np.int64(good))) == _canon(call(good))
+
+
+def test_integer_rule_mends_truncations_and_crashes():
+    # these once truncated (10.7 to 10, 5.5 to 5 levels never reached),
+    # raised TypeError, or crashed inside numpy
+    with _refused("horizon", 10.7):
+        verify.recurrence_experiment(1, Constant(0.5), (10.7, 100), 50)
+    with _refused("i", 5.5):
+        verify.volkov_bc_experiment(0.7, 5.5, 6, 2000)
+    with _refused("i", 1.0):
+        analytics.correlation_e(Constant(0.5), 1.0, 2)
+    with _refused("samples", 100.0):
+        verify.estimate_tail(2, 0.5, 10, 2.0, samples=100.0)
+    with _refused("d", 2.0):
+        walk.sample_positions(2.0, Constant(0.5), 5, 3, _rng())
+    with _refused("n_steps", 3.0):
+        walk.simulate(1, Constant(0.5), 3.0, _rng())
+    # numpy integers, once refused outside walk, are stored as Python ints
+    schedule = Critical(1, n0=np.int64(2))
+    assert type(schedule.n0) is int and json.dumps(schedule.to_json())
+    assert oracle.exact_distribution(np.int64(1), Constant(0.5), 3).d == 1
 
 
 def test_path_csv_exports():

@@ -312,6 +312,16 @@ def test_sample_endpoints_memory():
     assert peak <= 9.8e6  # 8.54 MB measured, plus 15%
 
 
+def test_huge_intensity_refused_before_any_draw():
+    # 10^12 ln(10^4) points per path, or 10^12 ln 2 per sample, fit in no memory
+    rng = _rng(5)
+    with pytest.raises(ValueError, match=r"b = 1000000000000.0 on \(epsilon, T\]"):
+        zigzag.sample_ppp(1e12, None, 1.0, rng)
+    with pytest.raises(ValueError, match="b = 1000000000000.0 and epsilon = 0.5"):
+        zigzag.sample_endpoints(1, 1e12, 0.5, 10, rng)
+    assert np.array_equal(rng.random(4), _rng(5).random(4))
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 3), b=st.floats(0.05, 20.0),
        epsilon=st.floats(1e-6, 1.0, exclude_min=True), seed=st.integers(0, 2 ** 32 - 1))
