@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .schedule import Schedule, _integer
-from .walk import Direction
+from .walk import Direction, _lattice_point
 
 __all__ = [
     "ResourceLimitError",
@@ -71,7 +71,7 @@ class ExactDistribution:
         return out
 
     def prob(self, position, direction: Direction | None = None):
-        pos = tuple(_integer("position coordinate", c) for c in position)
+        pos = _lattice_point("position", position, self.d)
         zero = Fraction(0) if self.rational else 0.0
         if direction is not None:
             return self.entries.get((pos, direction), zero)

@@ -64,9 +64,12 @@ def _integer(name, x, minimum=None):
     The one integer rule: Python and numpy integers pass, while a float, even
     a whole one, and a bool are refused, never truncated or read as 0 or 1.
     """
-    if isinstance(x, bool) or not hasattr(x, "__index__"):
+    if isinstance(x, bool):
         raise ValueError(f"{name} {x!r} is not an integer")
-    x = operator.index(x)
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} {x!r} is not an integer") from None
     if minimum is not None and x < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {x}")
     return x

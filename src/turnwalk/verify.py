@@ -475,12 +475,13 @@ def critical_limit_test(d: int, a: float, n: int, samples: int, delta: float,
     b = b_from_a(a, d)
     schedule = Critical(a=a, n0=max(1, math.ceil(a)))
 
+    # the zigzag side first (its own stream), so a refused intensity runs no walk
+    zz = sample_endpoints(d, b, delta, samples, stream_rng(seed, "critical_zigzag"))
     out = walk.sample_positions(d, schedule, n, samples, stream_rng(seed, "critical_walk"),
                                 times=(n,), count_changes_in=(m, n), method="events",
                                 first=m)
     counts = out.change_counts
     windowed = out.at(n) / n
-    zz = sample_endpoints(d, b, delta, samples, stream_rng(seed, "critical_zigzag"))
 
     lam = b * math.log(1.0 / delta)
     mean = float(counts.mean())

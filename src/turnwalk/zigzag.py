@@ -38,12 +38,13 @@ __all__ = [
     "sample_endpoints",
 ]
 
-# Most expected points a draw may hold: past them an intensity is refused
-# before any draw, not left to fail in the allocator.  ``sample_endpoints``
-# keeps 32 bytes a point while it builds a group, and takes 40-80 ns a point
-# (512 MiB and about 1 s at the cap, even when one sample holds them all);
-# a ``sample_ppp`` point becomes Python objects through ``label_intervals``,
-# about 160 bytes and 30 us each (170 MB and 30 s at its cap).
+# Most expected points one sample or path may hold: past them an intensity is
+# refused before any draw, not left to fail in the allocator.
+# ``sample_endpoints`` holds one group of equal-count samples at a time, 32
+# bytes a point (512 MiB for one sample at the cap); its total over all
+# samples costs only time, 40-80 ns a point.  A ``sample_ppp`` point becomes
+# Python objects through ``label_intervals``, about 160 B and 30 us each
+# (170 MB and 30 s at its cap).
 _MAX_POINTS = 1 << 24
 _MAX_PPP_POINTS = 1 << 20
 
@@ -237,10 +238,10 @@ def sample_endpoints(d: int, b: float, epsilon: float, samples: int,
     if not 0 < epsilon <= 1:
         raise ValueError(f"need 0 < epsilon <= 1, got epsilon={epsilon}")
     log_eps = math.log(epsilon)
-    points = samples * (1 - b * log_eps)  # each sample's points and the end 1
+    points = 1 - b * log_eps  # a sample's points and the end 1
     if not points <= _MAX_POINTS:
         raise ValueError(f"b = {b} and epsilon = {epsilon} expect {points:.6g} points "
-                         f"over {samples} samples, more than {_MAX_POINTS}")
+                         f"a sample, more than {_MAX_POINTS}")
     counts = rng.poisson(-b * log_eps, samples)
     order = count_order(counts)
     ends = np.flatnonzero(np.diff(counts[order])) + 1

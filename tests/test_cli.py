@@ -338,6 +338,14 @@ def test_refused_integer_or_intensity_exit_2(capsys, argv):
     assert "error" in err and "internal" not in err
 
 
+def test_critical_many_samples_not_refused(capsys):
+    # 10^5 samples of about 193 points each: the intensity bound is per
+    # sample, so a large batch costs time but is not refused
+    report = _run_json(capsys, ["verify", "critical", "--d", "3", "--a", "100",
+                                "--n", "100000", "--delta", "0.1", "--samples", "100000"])
+    assert report["config"]["samples"] == 100000
+
+
 def test_critical_past_float_series_exit_0(capsys):
     # a = 1e100 once overflowed in its tail series, which no step up to
     # n0 = 10^301 reads

@@ -119,6 +119,8 @@ def test_prob_with_direction():
     assert dist.prob((1, 0), Direction(0, 1)) == pytest.approx(0.25)
     assert dist.prob((1, 0), Direction(1, 1)) == 0.0
     assert dist.prob((5, 5)) == 0.0
+    with pytest.raises(ValueError, match="position has 3 coordinates, expected 2"):
+        dist.prob((5, 5, 5))
 
 
 def test_marginal_positions_sum():

@@ -1323,7 +1323,8 @@ def test_integer_rule(case):
     # a float, even a whole one, and a bool are refused by name; a numpy
     # integer gives exactly what the Python int gives
     name, call, good = _INTEGER_ARGS[case]
-    for bad in (2.0, True):
+    # a 0-d float array has __index__ but refuses it with a TypeError
+    for bad in (2.0, True, np.array(2.0)):
         with _refused(name, bad):
             call(bad)
     assert _canon(call(np.int64(good))) == _canon(call(good))
