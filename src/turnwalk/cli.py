@@ -43,11 +43,18 @@ from .schedule import _integer, classify_regime, schedule_from_json
 
 
 def _schedule_arg(text: str):
-    """--schedule accepts inline JSON or @path-to-a-JSON-file."""
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return schedule_from_json(text)
+    """--schedule accepts inline JSON or @path-to-a-JSON-file.
+
+    A bad schedule or an unreadable file is an ``ArgumentTypeError``, so
+    argparse reports its own text (exit 2), not a generic "invalid value".
+    """
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return schedule_from_json(text)
+    except (ValueError, OSError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_list(text: str) -> list:

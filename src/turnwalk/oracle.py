@@ -35,6 +35,11 @@ class ResourceLimitError(ValueError):
 # n = 46: 2.1 s), against 0.05 s, 0.7 s and 1.1 s at d = 1, 2, 3 for
 # n = 2000, 200, 40
 _MAX_DP_WORK = 1 << 28
+# Most cells 2d (2n + 1)^d in one float DP array.  The DP holds about four
+# such arrays at once (the law, the next one, the direction sum and a
+# product), so 2^23 cells bound it near 270 MB; d = 3 at n = 46 (4.8 x 10^6
+# cells) stays within, d = 12 at n = 1 (1.3 x 10^7) does not
+_MAX_DP_CELLS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,8 @@ def exact_distribution(d: int, schedule: Schedule, n: int,
     step k >= 2, mass at (z, dir) splits into (1 - p_k) continuing along dir
     and p_k/(2d) restarting along each of the 2d directions, then advances.
     Dense float arrays over the box [-n, n]^d are used by default, for at
-    most ``_MAX_DP_WORK`` cell updates n 2d (2n + 1)^d; rational mode
+    most ``_MAX_DP_CELLS`` cells 2d (2n + 1)^d and ``_MAX_DP_WORK`` cell
+    updates n 2d (2n + 1)^d, both checked before any allocation; rational mode
     (n <= 10) switches to a Fraction-valued sparse DP with exact output.
     Past either cap a ``ResourceLimitError`` is raised.
     """
@@ -121,10 +127,13 @@ def exact_distribution(d: int, schedule: Schedule, n: int,
         if n > 10:
             raise ResourceLimitError(f"rational mode is capped at n = 10, got {n}")
         return _exact_rational(d, schedule, n)
-    work = n * 2 * d * (2 * n + 1) ** d
-    if work > _MAX_DP_WORK:
-        raise ResourceLimitError(f"the float DP at d = {d}, n = {n} makes {work} cell "
-                                 f"updates, more than its cap 2^28")
+    cells = 2 * d * (2 * n + 1) ** d
+    if cells > _MAX_DP_CELLS:
+        raise ResourceLimitError(f"the float DP at d = {d}, n = {n} holds {cells} cells, "
+                                 f"more than its cap 2^23")
+    if n * cells > _MAX_DP_WORK:
+        raise ResourceLimitError(f"the float DP at d = {d}, n = {n} makes {n * cells} "
+                                 f"cell updates, more than its cap 2^28")
 
     probs = schedule.prefix_probs(n)
     shape = (2 * d,) + (2 * n + 1,) * d

@@ -178,7 +178,9 @@ class _Hazard:
         k = k[order]
         r0 = 0
         while r0 < samples:
-            fill = np.arange(1, samples - r0 + 1) * (k[r0:] + seg_forced.size + 2)
+            # a row fills at least 2 cells, so no block has more than cells // 2 + 1 rows
+            rest = k[r0:r0 + cells // 2 + 1]
+            fill = np.arange(1, rest.size + 1) * (rest + seg_forced.size + 2)
             r1 = r0 + max(1, int(np.searchsorted(fill, cells, side="right")))
             # no name here keeps the steps alive while the engine runs the block
             yield (order[r0:r1], self._poisson_steps(lo, hi, base, top, seg_forced,

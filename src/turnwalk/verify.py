@@ -59,7 +59,8 @@ __all__ = [
     "envelope",
 ]
 
-# Cells (walks x steps) the pass-once experiment holds at a time
+# Cells (walks x steps) in one time block of the pass-once experiment; the
+# block is drawn in pieces of at most walk._BLOCK_CELLS cells (_volkov_chunk)
 _VOLKOV_CELLS = 1 << 21
 
 _MIN_EXPECTED = 5.0  # poisson_gof pools cells expecting fewer counts
@@ -614,24 +615,34 @@ def _volkov_chunk(p: float, levels: tuple, c: int, horizon: int, reach: int,
     A walk that ends a block at ``reach`` or above is stepped no further
     (its later falls are charged by ``_volkov_certify``): later blocks draw
     uniforms for the live walks only, and the chunk ends when none are left.
+
+    A (live x w) time block is drawn in pieces of at most
+    ``walk._BLOCK_CELLS`` cells: whole rows, or one row in runs of columns
+    when a row is longer.  The generator fills row-major, so the pieces draw
+    the block's uniforms in the block's order, and the stream does not
+    depend on the piece size.
     """
     width = max(1, _VOLKOV_CELLS // c)
     live = np.arange(c)
-    x0 = np.zeros((c, 1), dtype=np.int32)
+    at = np.zeros(c, dtype=np.int32)  # each live walk's position
     visits = np.zeros((len(levels), c), dtype=np.int64)
     for t0 in range(0, horizon, width):
         w = min(width, horizon - t0)
-        steps = (rng.random((live.size, w)) < p).astype(np.int8) * 2 - 1
-        x = np.cumsum(steps, axis=1, dtype=np.int32)
-        x += x0
-        for k, level in enumerate(levels):
-            visits[k, live] += np.count_nonzero(x == level, axis=1)
-        # row selection copies, so the next block's uniforms never sit
-        # beside these positions
-        keep = x[:, -1] < reach
-        x0 = x[keep, -1:]
+        rows = max(1, walk._BLOCK_CELLS // w)
+        cols = min(w, walk._BLOCK_CELLS)
+        for r0 in range(0, live.size, rows):
+            piece = slice(r0, r0 + rows)
+            for c0 in range(0, w, cols):
+                shape = (at[piece].size, min(cols, w - c0))
+                steps = (rng.random(shape) < p).astype(np.int8) * 2 - 1
+                x = np.cumsum(steps, axis=1, dtype=np.int32)
+                x += at[piece, None]
+                for k, level in enumerate(levels):
+                    visits[k, live[piece]] += np.count_nonzero(x == level, axis=1)
+                at[piece] = x[:, -1]
+        keep = at < reach
+        at = at[keep]
         live = live[keep]
-        del x
         if not live.size:
             break
     return visits == 1

@@ -120,8 +120,16 @@ __all__ = [
 
 # Cells (paths x runs) in one block of the run engine; its memory beyond
 # the per-path state (and, for a schedule without a closed-form hazard, the
-# O(n) hazard table its caller built) is a fixed multiple of this.
-_BLOCK_CELLS = 1 << 18
+# O(n) hazard table its caller built) is a fixed multiple of this, about
+# 30-40 bytes a cell.  ``verify._volkov_chunk`` draws its time blocks in
+# pieces of this size too.  2^16 keeps a block's temporaries near 2 MB.  On
+# a 2-core box, with 200 paths of Constant(0.5) to 10^5 steps, the traced
+# peak was 1.9, 1.8, 4.5 and 8.9 MB at 2^15, 2^16, 2^17 and 2^18 cells.
+# The benchmark's `visits` peak RSS was 112.6, 114.3, 118.0 and 125.7 MB.
+# Its wall time did not move beyond the box's drift.  Below 2^16 the RSS
+# falls only 1.7 MB more, while the blocks, each with fixed per-call
+# costs, double in number again.
+_BLOCK_CELLS = 1 << 16
 
 # Expected redraws in one group of ``_event_paths``, held as Python events
 _GROUP_CELLS = 1 << 10

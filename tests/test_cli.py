@@ -361,6 +361,25 @@ def test_simulate_bad_schedule_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--d", "2", "--schedule", '{"kind":"Critical","a":1,"n0":2.5}'],
+     "argument --schedule: n0 2.5 is not an integer"),
+    (["verify", "recurrence", "--d", "2", "--horizons", "10", "--schedule",
+      '{"kind": "Mystery"}'], "unknown schedule kind 'Mystery'"),
+    (["moments", "--op", "correlation", "--i", "1", "--j", "2", "--schedule", "{"],
+     "argument --schedule: Expecting property name"),
+    (["classify", "--d", "2", "--schedule", "@no/such/schedule.json"],
+     "No such file or directory"),
+])
+def test_bad_schedule_names_its_fault(capsys, argv, message):
+    # the schedule's own error reaches stderr, not argparse's "invalid value";
+    # an unreadable @file is a usage error too, not a traceback
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert message in err
+    assert "invalid _schedule_arg value" not in err
+
+
 # --- zigzag ---
 
 def test_zigzag_intervals_csv(capsys):

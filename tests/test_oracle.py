@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +143,25 @@ def test_resource_caps():
         oracle.brute_force_L_moment(0.5, 15, 2)
     dist = oracle.exact_distribution(1, Constant(0.5), 22)
     assert abs(dist.total_mass - 1.0) < 1e-11
+
+
+def test_dp_cell_cap_refuses_before_allocating():
+    # at n = 1 the work n 2d 3^d is far below its cap, but d = 12 holds
+    # 2d 3^d = 1.3 x 10^7 cells, about 100 MB an array: refused before any
+    # array is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(oracle.ResourceLimitError, match="d = 12, n = 1 holds"):
+            oracle.exact_distribution(12, Constant(0.5), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    # d = 4 at n = 16: 9.5 x 10^6 cells, past the cell cap 2^23 alone (its
+    # 1.5 x 10^8 updates are within the work cap)
+    with pytest.raises(oracle.ResourceLimitError, match="d = 4, n = 16 holds"):
+        oracle.exact_distribution(4, Constant(0.5), 16)
+    assert len(oracle.exact_distribution(11, Constant(0.5), 1).entries) == 22
 
 
 def test_argument_validation():

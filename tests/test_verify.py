@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import special, stats as sps
 
-from turnwalk import analytics, verify, zigzag
+from turnwalk import analytics, verify, walk, zigzag
 from turnwalk.schedule import Constant, Critical, PowerDecay
 from turnwalk.verify import (EstimatorResult, envelope, ks_critical,
                              ks_one_sample_normal, ks_two_sample, poisson_gof,
@@ -640,30 +640,61 @@ def test_volkov_matches_gambler_with_short_blocks(monkeypatch):
     assert abs(res.joint.estimate - joint) < 4 * res.joint.std_error
 
 
+class _ShapeLog:
+    """A generator that logs the shape of each ``random`` call."""
+
+    def __init__(self, seed):
+        self.rng = verify.stream_rng(seed, "volkov")
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
+@pytest.mark.parametrize("cells", [7, 100, 1000])
+def test_volkov_draws_pieces_of_at_most_block_cells(monkeypatch, cells):
+    # time blocks of 256 steps for 64 walks, then of 2^14 for one walk,
+    # drawn in pieces of at most walk._BLOCK_CELLS cells: whole rows, or
+    # runs of one row's columns.  The pieces draw the uniforms in the
+    # block's order, so the flags are those of the default pieces.
+    monkeypatch.setattr(verify, "_VOLKOV_CELLS", 1 << 14)
+    cases = [(0.7, (2, 3), 64, 1024, 12), (0.7, (2, 3), 1, 1 << 15, 12)]
+    expect = [verify._volkov_chunk(*case, verify.stream_rng(k, "volkov"))
+              for k, case in enumerate(cases)]
+    monkeypatch.setattr(walk, "_BLOCK_CELLS", cells)
+    for k, case in enumerate(cases):
+        rng = _ShapeLog(k)
+        assert np.array_equal(verify._volkov_chunk(*case, rng), expect[k])
+        assert max(rows * cols for rows, cols in rng.shapes) <= cells
+        assert len(rng.shapes) > 1
+
+
 def test_volkov_memory_bounded():
     # 16 walks of 2^20 steps: one walks x steps matrix of uniforms alone
-    # would take 134 MB; streamed, memory stays a fixed multiple of
-    # _VOLKOV_CELLS whatever the horizon
+    # would take 134 MB; streamed in pieces of at most walk._BLOCK_CELLS
+    # cells, memory stays a fixed multiple of that whatever the horizon
     tracemalloc.start()
     try:
         verify.volkov_bc_experiment(0.7, 5, 6, 16, horizon=1 << 20, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * verify._VOLKOV_CELLS
+    assert peak < 32 * walk._BLOCK_CELLS
 
 
 def test_volkov_memory_per_cell():
-    # two 2048-walk chunks of 8192 steps; per cell of a time block: the
-    # uniforms, their comparison mask and the last block's step signs, about
-    # 10 bytes; the positions and the level mask come after the uniforms go
+    # two 2048-walk chunks of 8192 steps, in time blocks of 1024 steps drawn
+    # in pieces of 64 walks; per cell of a piece: the uniforms, their
+    # comparison mask, the step signs, the positions and a level mask, about
+    # 15 bytes
     tracemalloc.start()
     try:
         verify.volkov_bc_experiment(0.55, 5, 6, 4096, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * verify._VOLKOV_CELLS
+    assert peak < 20 * walk._BLOCK_CELLS
 
 
 def test_volkov_validation():

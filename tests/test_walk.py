@@ -781,9 +781,9 @@ def test_visit_stats_pinned_digest():
     with mock.patch.object(walk, "_BLOCK_CELLS", 64):
         assert len(walk._segments(PowerDecay(1.0, 0.7).hazard(100_000), 100_000)) >= 3
     assert digests == {
-        "constant": "d80c20236d2c24f62fcc429ee88053640991d56a563cb2caa6cc915a37414ebc",
+        "constant": "c9e25229d7a7d1d12a3231aa9a405ca09db45416ed52709d4f0ff9f73b7b0139",
         "power": "298236a28f1e795402440d1c4fac5b27c22c8ecedb194a82d1bb92ef094abdb4",
-        "critical": "5351be20e550b7927c73277102a08634cde69226f095608ff41caa516ffbdaa5",
+        "critical": "99225bcb4d5fba79de22ce11e54b57b446de4b264cf49bfd651ba9a76969ca2e",
         "far": "afbbf69df6ae4b05a0b43662b77078677c4137e64894c6932a8215309c14805d",
         "wrap": "9dd76d9311e87123c936ab0d956e9ead34dae3fb68beb075b6ee6fee9b08d9e0",
     }
@@ -809,17 +809,20 @@ def test_simulate_events_matches_exact_law(monkeypatch, case, cells, grouped):
     assert _chi_square_pvalue(np.array(keys), law) > 1e-3
 
 
-_SCHEDULES = st.one_of(
-    st.builds(Constant, st.sampled_from([0.0, 5e-324, 0.05, 0.5, 1 - 1e-16, 1.0])),
-    st.builds(lambda a, extra: Critical(a, n0=math.ceil(a) + extra),
-              st.sampled_from([0.5, 1.0, 2.5]), st.integers(0, 3)),
-    st.builds(PowerDecay, st.sampled_from([0.3, 1.0]), st.sampled_from([0.2, 0.7]),
-              st.integers(1, 4), st.sampled_from([0.0, 1.0])),
-    st.builds(Periodic, st.lists(st.sampled_from([0.0, 0.2, 1.0]), min_size=1,
-                                 max_size=4), st.integers(1, 5)),
-    st.builds(Explicit, st.lists(st.sampled_from([0.0, 0.1, 0.9, 1.0]), min_size=1,
-                                 max_size=8)),
-)
+_DRAWN_FAMILIES = {
+    "Constant": st.builds(Constant, st.sampled_from([0.0, 5e-324, 0.05, 0.5, 1 - 1e-16,
+                                                     1.0])),
+    "Critical": st.builds(lambda a, extra: Critical(a, n0=math.ceil(a) + extra),
+                          st.sampled_from([0.5, 1.0, 2.5]), st.integers(0, 3)),
+    "PowerDecay": st.builds(PowerDecay, st.sampled_from([0.3, 1.0]),
+                            st.sampled_from([0.2, 0.7]), st.integers(1, 4),
+                            st.sampled_from([0.0, 1.0])),
+    "Periodic": st.builds(Periodic, st.lists(st.sampled_from([0.0, 0.2, 1.0]), min_size=1,
+                                             max_size=4), st.integers(1, 5)),
+    "Explicit": st.builds(Explicit, st.lists(st.sampled_from([0.0, 0.1, 0.9, 1.0]),
+                                             min_size=1, max_size=8)),
+}
+_SCHEDULES = st.one_of(*_DRAWN_FAMILIES.values())
 
 
 def _replay_runs(d, samples, blocks, times, window, target=None):
@@ -903,6 +906,63 @@ def test_simulate_events_times_increase_from_one(schedule, d, n, seed, cells, si
         assert not {t for t in times if t > 1 and p[t - 1] == 0.0}
 
 
+# Every engine's endpoints against the exact DP, under drawn schedules from
+# all five families, at the horizon per dimension that keeps the DP and the
+# chi-square cells few.  "-4" runs the run engine in four-cell blocks, so
+# its paths cross many blocks and segments; without it the engine runs at
+# the module's block size.  A window engine starts at a drawn step
+# ``first`` > 0 and is held against the law of n - first steps whose rates
+# are p_{first+1..n}.
+_LAW_HORIZON = {1: 8, 2: 6, 3: 4}
+_LAW_ENGINES = {
+    # name: (paths, block cells, first > 0)
+    "step": (20_000, None, False),
+    "runs": (20_000, None, False),
+    "runs-4": (1_000, 4, False),
+    "window": (20_000, None, True),
+    "window-4": (1_000, 4, True),
+    "shortcut": (20_000, None, False),
+    "simulate": (2_000, None, False),
+    "simulate_events": (800, None, False),
+}
+
+
+def _engine_endpoints(engine, d, schedule, n, first, samples, rng):
+    """S_n - S_first of ``samples`` walks from ``engine``, shape (samples, d)."""
+    if engine in ("simulate", "simulate_events"):
+        fn = walk.simulate if engine == "simulate" else walk.simulate_events
+        return np.array([fn(d, schedule, n, rng).endpoint() for _ in range(samples)])
+    if engine == "step":
+        return walk.sample_positions(d, schedule, n, samples, rng, method="step").at(n)
+    if engine == "shortcut":
+        return walk.sample_positions(d, schedule, n, samples, rng).at(n)
+    # a change window keeps a Constant schedule off the composition shortcut
+    window = {"count_changes_in": (max(first, 1), n)}
+    return walk.sample_positions(d, schedule, n, samples, rng, first=first, **window).at(n)
+
+
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(st.data())
+@pytest.mark.parametrize("engine, family", [
+    (engine, family) for engine in sorted(_LAW_ENGINES) for family in sorted(_DRAWN_FAMILIES)
+    if engine != "shortcut" or family == "Constant"])
+def test_engines_match_exact_law_under_drawn_schedules(engine, family, data):
+    samples, cells, windowed = _LAW_ENGINES[engine]
+    schedule = data.draw(_DRAWN_FAMILIES[family])
+    d = data.draw(st.sampled_from([2, 1, 3]))
+    n = _LAW_HORIZON[d]
+    first = data.draw(st.integers(1, n - 1)) if windowed else 0
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    # the window's law: a walk of n - first steps at rates p_{first+1..n}
+    # (its own first step always redraws, whatever its rate)
+    rates = Explicit(tuple(schedule.prefix_probs(n)[first:].tolist())) if first \
+        else schedule
+    law = oracle.exact_distribution(d, rates, n - first).marginal_positions()
+    with mock.patch.object(walk, "_BLOCK_CELLS", cells or walk._BLOCK_CELLS):
+        ends = _engine_endpoints(engine, d, schedule, n, first, samples, _rng(seed))
+    assert _chi_square_pvalue(ends, law) > 1e-5
+
+
 class _NoDrawRng:
     def __getattr__(self, name):
         raise AssertionError(f"rng.{name} called")
@@ -940,6 +1000,27 @@ def test_visit_stats_memory_bounded(n, samples):
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+@pytest.mark.parametrize("schedule, samples, per_step, per_path, per_cell", [
+    # many runs on few paths: geometric gaps, no table
+    (Constant(0.5), 200, 0, 0, 32),
+    # few runs on many paths: the O(n) table of nc and its guide (12 bytes
+    # a step) and per path the counts, flags, offsets and Poisson counts
+    (PowerDecay(1.0, 0.7), 20_000, 12, 64, 48),
+])
+def test_visit_ops_memory_in_block_cells(schedule, samples, per_step, per_path, per_cell):
+    # the benchmark's two visit ops at 10^5 steps: beyond the table and the
+    # per-path state, the traced peak is a fixed multiple of the block
+    n = 10 ** 5
+    tracemalloc.start()
+    try:
+        walk.sample_visit_stats(2, schedule, n, samples, _rng(7),
+                                horizons=(1_000, 10_000, n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < per_step * n + per_path * samples + per_cell * walk._BLOCK_CELLS
 
 
 def test_critical_visits_to_a_billion_steps_in_small_memory():
